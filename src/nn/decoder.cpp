@@ -30,23 +30,15 @@ DecoderLayer::DecoderLayer(const ModelConfig& cfg, Rng& rng)
 
 namespace {
 
-/// Residual + LayerNorm helper: returns LN(x + delta).
-Tensor residual_norm(const Tensor& x, Tensor delta, const Tensor& gamma,
-                     const Tensor& beta, float eps) {
-  add_inplace(delta, x);
-  Tensor out;
-  layer_norm(delta, gamma, beta, eps, out);
-  return out;
-}
-
 /// Top-k temperature sampling over one logits row; the candidate set is the
-/// k largest logits (ties by lower index, like argmax).
+/// k largest logits (ties by lower index, like argmax). Works in `best` and
+/// `weights`, reserved to top_k by the caller, so it never allocates.
 Index sample_top_k(const float* logits, Index vocab, Index k,
-                   float temperature, Rng& rng) {
+                   float temperature, Rng& rng, std::vector<Index>& best,
+                   std::vector<double>& weights) {
   k = std::min(k, vocab);
   // Partial selection of the k best indices.
-  std::vector<Index> best;
-  best.reserve(static_cast<std::size_t>(k));
+  best.clear();
   for (Index v = 0; v < vocab; ++v) {
     if (static_cast<Index>(best.size()) < k) {
       best.push_back(v);
@@ -69,7 +61,7 @@ Index sample_top_k(const float* logits, Index vocab, Index k,
 
   const float inv_t = 1.0f / std::max(temperature, 1e-6f);
   const float mx = logits[best[0]];
-  std::vector<double> weights(best.size());
+  weights.resize(best.size());
   double total = 0.0;
   for (std::size_t i = 0; i < best.size(); ++i) {
     weights[i] = std::exp(static_cast<double>((logits[best[i]] - mx) * inv_t));
@@ -153,6 +145,8 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
     states_[l].cross_k = layers[l].cross_attn().wk().forward(memory_.states);
     states_[l].cross_v = layers[l].cross_attn().wv().forward(memory_.states);
   }
+  for (std::size_t i = 0; i < tracks_.size(); ++i) reserve_track(i);
+  next_token_.resize(tracks_.size());
 
   // Per-request sampling streams: forked by request id so a request draws
   // the same randomness no matter which batch it rides in.
@@ -162,6 +156,21 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
     for (const auto& track : tracks_)
       track_rng_.push_back(
           base.fork(static_cast<std::uint64_t>(track.request_id)));
+    sample_scratch_.resize(ThreadPool::global().parallelism());
+    for (auto& scratch : sample_scratch_) {
+      scratch.best.reserve(static_cast<std::size_t>(opts_.top_k));
+      scratch.weights.reserve(static_cast<std::size_t>(opts_.top_k));
+    }
+  }
+}
+
+void DecodeSession::reserve_track(std::size_t t) {
+  const auto cap = static_cast<std::size_t>(step_cap(tracks_[t]));
+  const auto d = static_cast<std::size_t>(model_.config().d_model);
+  tracks_[t].emitted.reserve(cap);
+  for (auto& st : states_) {
+    st.k_cache[t].reserve(cap * d);
+    st.v_cache[t].reserve(cap * d);
   }
 }
 
@@ -172,32 +181,82 @@ bool DecodeSession::done() const noexcept {
                      [](const DecodeTrack& t) { return t.finished; });
 }
 
-std::vector<std::size_t> DecodeSession::active_tracks() const {
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < tracks_.size(); ++i)
-    if (!tracks_[i].finished) active.push_back(i);
-  return active;
+Index DecodeSession::step_cap(const DecodeTrack& t) const noexcept {
+  return opts_.cap_at_source_length ? std::min(max_steps_, t.src_len)
+                                    : max_steps_;
 }
 
-DecodeStepOutcome DecodeSession::step() {
+std::span<const float> DecodeSession::step_logits(std::size_t track) const {
+  const auto it = std::find(order_.begin(), order_.end(), track);
+  if (it == order_.end() || logits_.empty()) return {};
+  const auto vocab = static_cast<std::size_t>(model_.config().vocab_size);
+  return {logits_.data() + static_cast<std::size_t>(it - order_.begin()) *
+                               vocab,
+          vocab};
+}
+
+void DecodeSession::plan_slices(std::size_t parallelism) {
+  order_.clear();
+  group_start_.clear();
+  for (const Group& g : groups_) {
+    if (g.completed) continue;
+    group_start_.push_back(order_.size());
+    for (const auto m : g.members)
+      if (!tracks_[m].finished) order_.push_back(m);
+  }
+  // Each group goes to the slice its midpoint falls in when the active rows
+  // are split evenly `parallelism` ways: slices stay contiguous runs of whole
+  // groups, balanced by rows, and a group is never split — its members'
+  // self-attention reads each other's K/V, which only one thread may write.
+  const std::size_t rows = order_.size();
+  const std::size_t groups = group_start_.size();
+  const std::size_t slices = std::min(std::max<std::size_t>(parallelism, 1),
+                                      groups);
+  slice_begin_.clear();
+  std::size_t last = slices;  // no slice open yet
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t begin = group_start_[g];
+    const std::size_t end = g + 1 < groups ? group_start_[g + 1] : rows;
+    const std::size_t slice =
+        std::min(slices - 1, (begin + end) * slices / (2 * rows));
+    if (slice != last) slice_begin_.push_back(begin);
+    last = slice;
+  }
+  slice_begin_.push_back(rows);
+}
+
+void DecodeSession::run_slice(std::size_t s, const SegmentCache& src_cache) {
   const ModelConfig& cfg = model_.config();
   const Index d = cfg.d_model;
   const Index heads = cfg.n_heads;
   const Index dh = cfg.head_dim();
+  const Index vocab = cfg.vocab_size;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
   const auto& layers = model_.decoder_layers();
+  const std::size_t first = slice_begin_[s];
+  const std::size_t* ids = order_.data() + first;
+  const Index m = static_cast<Index>(slice_begin_[s + 1] - first);
+  const std::size_t md = static_cast<std::size_t>(m * d);
 
-  DecodeStepOutcome outcome;
-  const std::vector<std::size_t> active = active_tracks();
-  TCB_CHECK(!active.empty(), "DecodeSession::step called when done");
-  step_count_ += 1;
-  result_.steps = step_count_;
-  const Index a_count = static_cast<Index>(active.size());
-
-  // Source mask geometry (debug-checked below); the build was warmed in the
-  // constructor, so this is the lock-free published-pointer fast path.
-  [[maybe_unused]] const SegmentCache& src_cache =
-      memory_.plan.segment_cache(memory_.width);
+  // Slice activations, all from this thread's arena; `x` carries the layer
+  // input and output, `y` the sublayer results between the residual norms.
+  WorkspaceScope scope;
+  float* x = scope.alloc(md);
+  float* y = scope.alloc(md);
+  float* q = scope.alloc(md);
+  float* k_new = scope.alloc(md);
+  float* v_new = scope.alloc(md);
+  float* attn = scope.alloc(md);
+  float* delta = scope.alloc(md);
+  float* hidden = scope.alloc(static_cast<std::size_t>(m * cfg.d_ff));
+  const auto rowp = [d](float* base, Index i) { return base + i * d; };
+  // LN(delta + res) into `out` — residual add then LayerNorm, row by row.
+  const auto residual_norm = [&](const float* res, const DecoderLayer& layer,
+                                 int which, float* out) {
+    simd::add(delta, res, m * d);
+    layer_norm(delta, m, layer.ln_gamma(which), layer.ln_beta(which),
+               layer.eps(), out);
+  };
 
   // Input embeddings: previous token (BOS before a track's first step) +
   // separate PE at the track-local position |emitted|. Before any splice all
@@ -205,18 +264,14 @@ DecodeStepOutcome DecodeSession::step() {
   // is bitwise what the monolithic loop's shared `Pos{t}` computed; after a
   // splice the per-track position is what keeps each request's numerics
   // independent of when it was admitted.
-  std::vector<Index> prev;
-  prev.reserve(active.size());
-  for (const auto a : active)
-    prev.push_back(tracks_[a].emitted.empty() ? kBosToken
-                                              : tracks_[a].emitted.back());
-  Tensor x = model_.embedding().lookup(prev);
-  for (Index ai = 0; ai < a_count; ++ai) {
-    const std::size_t a = active[static_cast<std::size_t>(ai)];
+  for (Index i = 0; i < m; ++i) {
+    const DecodeTrack& tr = tracks_[ids[i]];
+    const float* emb = model_.embedding().row(
+        tr.emitted.empty() ? kBosToken : tr.emitted.back());
     const float* pe = model_.positional_encoding().at(
-        Pos{static_cast<Index>(tracks_[a].emitted.size())});
-    float* row = x.row(ai);
-    for (Index j = 0; j < d; ++j) row[j] += pe[j];
+        Pos{static_cast<Index>(tr.emitted.size())});
+    float* row = rowp(x, i);
+    for (Index j = 0; j < d; ++j) row[j] = emb[j] + pe[j];
   }
 
   for (std::size_t l = 0; l < layers.size(); ++l) {
@@ -224,191 +279,207 @@ DecodeStepOutcome DecodeSession::step() {
     LayerState& st = states_[l];
 
     // ---- Masked self-attention over the group's cached K/V -------------
-    const Tensor q = layer.self_attn().wq().forward(x);
-    const Tensor k_new = layer.self_attn().wk().forward(x);
-    const Tensor v_new = layer.self_attn().wv().forward(x);
-    for (Index ai = 0; ai < a_count; ++ai) {
-      const std::size_t a = active[static_cast<std::size_t>(ai)];
-      const float* krow = k_new.row(ai);
-      const float* vrow = v_new.row(ai);
-      st.k_cache[a].insert(st.k_cache[a].end(), krow, krow + d);
-      st.v_cache[a].insert(st.v_cache[a].end(), vrow, vrow + d);
-      cur_kv_bytes_ += 2 * static_cast<std::size_t>(d) * sizeof(float);
+    // Every member of a group is in this slice, so all of the group's
+    // appends for this step land before any member reads the cache. The
+    // caches were reserved to the step cap: the append never reallocates.
+    layer.self_attn().wq().forward(x, m, q);
+    layer.self_attn().wk().forward(x, m, k_new);
+    layer.self_attn().wv().forward(x, m, v_new);
+    for (Index i = 0; i < m; ++i) {
+      const std::size_t a = ids[i];
+      st.k_cache[a].insert(st.k_cache[a].end(), rowp(k_new, i),
+                           rowp(k_new, i) + d);
+      st.v_cache[a].insert(st.v_cache[a].end(), rowp(v_new, i),
+                           rowp(v_new, i) + d);
     }
-    result_.peak_kv_bytes = std::max(result_.peak_kv_bytes, cur_kv_bytes_);
 
-    Tensor attn(Shape{a_count, d});
-    parallel_for(
-        static_cast<std::size_t>(a_count) * static_cast<std::size_t>(heads),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t task = begin; task < end; ++task) {
-            const Index ai = static_cast<Index>(task / heads);
-            const Index h = static_cast<Index>(task % heads);
-            const std::size_t a = active[static_cast<std::size_t>(ai)];
-            const Group& group = groups_[group_of_[a]];
-            const std::size_t head_off = static_cast<std::size_t>(h) * dh;
-            const float* qv = q.row(ai) + head_off;
-
-            // Score scratch from this worker's arena (rewound per task;
-            // steady-state decode steps allocate nothing).
-            std::size_t total = 0;
-            for (const auto m : group.members)
-              total += st.k_cache[m].size() / static_cast<std::size_t>(d);
-            WorkspaceScope scope;
-            float* scores = scope.alloc(total);
-            // Scores over every member's cached steps; the redundant
-            // cross-request entries are computed, then masked (paper
-            // Eq. 5-6 applied step-wise).
-            std::size_t idx = 0;
-            for (const auto m : group.members) {
-              const auto& kc = st.k_cache[m];
-              const std::size_t steps_m =
-                  kc.size() / static_cast<std::size_t>(d);
-              // Additive mask: adding kMaskedOut to a score of ordinary
-              // magnitude rounds to exactly kMaskedOut, so the foreign
-              // entries are computed (the redundancy) yet contribute
-              // exactly zero after softmax.
-              const float mask_add = m == a ? 0.0f : kMaskedOut;
-              for (std::size_t s = 0; s < steps_m; ++s) {
-                const float* kv =
-                    kc.data() + s * static_cast<std::size_t>(d) + head_off;
-                scores[idx++] = simd::dot(qv, kv, dh) * inv_sqrt + mask_add;
-              }
-            }
-
-            float mx = kMaskedOut;
-            for (std::size_t s = 0; s < total; ++s)
-              mx = std::max(mx, scores[s]);
-            float sum = 0.0f;
-            for (std::size_t s = 0; s < total; ++s) {
-              scores[s] = std::exp(scores[s] - mx);
-              // Walks only this track's own KV slot in step order — the
-              // chain is per-request and pinned by the decode equivalence
-              // tests.
-              // tcb-lint: allow(raw-fp-accumulation)
-              sum += scores[s];
-            }
-            const float inv = 1.0f / sum;
-            float* out = attn.row(ai) + head_off;
-            for (Index c = 0; c < dh; ++c) out[c] = 0.0f;
-            // Second walk over the members recovers each score's V row
-            // without a parallel pointer array (the arena only holds
-            // floats, and the walk order is identical by construction).
-            idx = 0;
-            for (const auto m : group.members) {
-              const auto& vc = st.v_cache[m];
-              const std::size_t steps_m =
-                  vc.size() / static_cast<std::size_t>(d);
-              for (std::size_t s = 0; s < steps_m; ++s)
-                simd::axpy(scores[idx++] * inv,
-                           vc.data() + s * static_cast<std::size_t>(d) +
-                               head_off,
-                           out, dh);
-            }
+    for (Index i = 0; i < m; ++i) {
+      const std::size_t a = ids[i];
+      const Group& group = groups_[group_of_[a]];
+      std::size_t total = 0;
+      for (const auto mem : group.members)
+        total += st.k_cache[mem].size() / static_cast<std::size_t>(d);
+      // Score scratch, rewound per track (steady-state steps allocate
+      // nothing).
+      WorkspaceScope track_scope;
+      float* scores = track_scope.alloc(total);
+      for (Index h = 0; h < heads; ++h) {
+        const std::size_t head_off = static_cast<std::size_t>(h) * dh;
+        const float* qv = rowp(q, i) + head_off;
+        // Scores over every member's cached steps; the redundant
+        // cross-request entries are computed, then masked (paper Eq. 5-6
+        // applied step-wise).
+        std::size_t idx = 0;
+        for (const auto mem : group.members) {
+          const auto& kc = st.k_cache[mem];
+          const std::size_t steps_m = kc.size() / static_cast<std::size_t>(d);
+          // Additive mask: adding kMaskedOut to a score of ordinary
+          // magnitude rounds to exactly kMaskedOut, so the foreign entries
+          // are computed (the redundancy) yet contribute exactly zero after
+          // softmax.
+          const float mask_add = mem == a ? 0.0f : kMaskedOut;
+          for (std::size_t t = 0; t < steps_m; ++t) {
+            const float* kv =
+                kc.data() + t * static_cast<std::size_t>(d) + head_off;
+            scores[idx++] = simd::dot(qv, kv, dh) * inv_sqrt + mask_add;
           }
-        });
-    Tensor x1 = residual_norm(x, layer.self_attn().wo().forward(attn),
-                              layer.ln_gamma(0), layer.ln_beta(0), layer.eps());
+        }
+
+        float mx = kMaskedOut;
+        for (std::size_t t = 0; t < total; ++t) mx = std::max(mx, scores[t]);
+        float sum = 0.0f;
+        for (std::size_t t = 0; t < total; ++t) {
+          scores[t] = std::exp(scores[t] - mx);
+          // Walks only this track's own KV slot in step order — the chain
+          // is per-request and pinned by the decode equivalence tests.
+          // tcb-lint: allow(raw-fp-accumulation)
+          sum += scores[t];
+        }
+        const float inv = 1.0f / sum;
+        float* out = rowp(attn, i) + head_off;
+        for (Index c = 0; c < dh; ++c) out[c] = 0.0f;
+        // Second walk over the members recovers each score's V row without
+        // a parallel pointer array (the arena only holds floats, and the
+        // walk order is identical by construction).
+        idx = 0;
+        for (const auto mem : group.members) {
+          const auto& vc = st.v_cache[mem];
+          const std::size_t steps_m = vc.size() / static_cast<std::size_t>(d);
+          for (std::size_t t = 0; t < steps_m; ++t)
+            simd::axpy(scores[idx++] * inv,
+                       vc.data() + t * static_cast<std::size_t>(d) + head_off,
+                       out, dh);
+        }
+      }
+    }
+    layer.self_attn().wo().forward(attn, m, delta);
+    residual_norm(x, layer, 0, y);
 
     // ---- Cross-attention over the source span ---------------------------
-    const Tensor q2 = layer.cross_attn().wq().forward(x1);
-    Tensor attn2(Shape{a_count, d});
-    parallel_for(
-        static_cast<std::size_t>(a_count) * static_cast<std::size_t>(heads),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t task = begin; task < end; ++task) {
-            const Index ai = static_cast<Index>(task / heads);
-            const Index h = static_cast<Index>(task % heads);
-            const std::size_t a = active[static_cast<std::size_t>(ai)];
-            const DecodeTrack& tr = tracks_[a];
-            const std::size_t head_off = static_cast<std::size_t>(h) * dh;
-            const float* qv = q2.row(ai) + head_off;
-            const Index row_base = static_cast<Index>(
-                flat_offset(tr.row, Col{0}, memory_.width));
+    layer.cross_attn().wq().forward(y, m, q);
+    for (Index i = 0; i < m; ++i) {
+      const DecodeTrack& tr = tracks_[ids[i]];
+      const Index row_base =
+          static_cast<Index>(flat_offset(tr.row, Col{0}, memory_.width));
+      // Fused cross-attention mask: a track may only attend its own source
+      // segment (every other column of the row — other requests' tokens and
+      // padding — would be masked to exp == 0), so the kernel walks exactly
+      // [src_offset, src_offset + src_len) and skips the score-then-mask
+      // sweep entirely. The slotted path's slot always contains the segment.
+      const Index span_begin = tr.src_offset.value();
+      const Index span = tr.src_len;
+      TCB_DCHECK(span > 0 && span_begin >= 0 &&
+                     span_begin + span <= memory_.width.value(),
+                 "decode: source segment outside the materialized row");
+      // Spliced tracks are not in the formation-time plan, so the
+      // plan-derived segment table cannot vouch for them.
+      TCB_DCHECK(tr.spliced ||
+                     src_cache.seg_row(tr.row.value())[span_begin] ==
+                         static_cast<std::int32_t>(tr.seg_index),
+                 "decode: track's source segment disagrees with the plan");
 
-            // Fused cross-attention mask: a track may only attend its own
-            // source segment (every other column of the row — other
-            // requests' tokens and padding — would be masked to exp == 0),
-            // so the kernel walks exactly [src_offset, src_offset +
-            // src_len) and skips the score-then-mask sweep entirely. The
-            // slotted path's slot always contains the segment.
-            const Index span_begin = tr.src_offset.value();
-            const Index span = tr.src_len;
-            TCB_DCHECK(
-                span > 0 && span_begin >= 0 &&
-                    span_begin + span <= memory_.width.value(),
-                "decode: source segment outside the materialized row");
-            // Spliced tracks are not in the formation-time plan, so the
-            // plan-derived segment table cannot vouch for them.
-            TCB_DCHECK(
-                tr.spliced ||
-                    src_cache.seg_row(tr.row.value())[span_begin] ==
-                        static_cast<std::int32_t>(tr.seg_index),
-                "decode: track's source segment disagrees with the plan");
+      WorkspaceScope track_scope;
+      float* scores = track_scope.alloc(static_cast<std::size_t>(span));
+      for (Index h = 0; h < heads; ++h) {
+        const std::size_t head_off = static_cast<std::size_t>(h) * dh;
+        const float* qv = rowp(q, i) + head_off;
+        for (Index j = 0; j < span; ++j) {
+          const float* kv =
+              st.cross_k.row(row_base + span_begin + j) + head_off;
+          scores[j] = simd::dot(qv, kv, dh) * inv_sqrt;
+        }
 
-            WorkspaceScope scope;
-            float* scores = scope.alloc(static_cast<std::size_t>(span));
-            for (Index j = 0; j < span; ++j) {
-              const float* kv =
-                  st.cross_k.row(row_base + span_begin + j) + head_off;
-              scores[j] = simd::dot(qv, kv, dh) * inv_sqrt;
-            }
-
-            float mx = kMaskedOut;
-            for (Index j = 0; j < span; ++j) mx = std::max(mx, scores[j]);
-            float* out = attn2.row(ai) + head_off;
-            for (Index c = 0; c < dh; ++c) out[c] = 0.0f;
-            if (mx <= kMaskedOut / 2) continue;  // empty source segment
-            float sum = 0.0f;
-            for (Index j = 0; j < span; ++j) {
-              scores[j] = std::exp(scores[j] - mx);
-              // Cross-attention sums span-relative j over the track's own
-              // source segment only — per-request chain, pinned numerics.
-              // tcb-lint: allow(raw-fp-accumulation)
-              sum += scores[j];
-            }
-            const float inv = 1.0f / sum;
-            for (Index j = 0; j < span; ++j) {
-              const float w = scores[j] * inv;
-              const float* vv =
-                  st.cross_v.row(row_base + span_begin + j) + head_off;
-              simd::axpy(w, vv, out, dh);
-            }
-          }
-        });
-    Tensor x2 = residual_norm(x1, layer.cross_attn().wo().forward(attn2),
-                              layer.ln_gamma(1), layer.ln_beta(1), layer.eps());
+        float mx = kMaskedOut;
+        for (Index j = 0; j < span; ++j) mx = std::max(mx, scores[j]);
+        float* out = rowp(attn, i) + head_off;
+        for (Index c = 0; c < dh; ++c) out[c] = 0.0f;
+        if (mx <= kMaskedOut / 2) continue;  // empty source segment
+        float sum = 0.0f;
+        for (Index j = 0; j < span; ++j) {
+          scores[j] = std::exp(scores[j] - mx);
+          // Cross-attention sums span-relative j over the track's own
+          // source segment only — per-request chain, pinned numerics.
+          // tcb-lint: allow(raw-fp-accumulation)
+          sum += scores[j];
+        }
+        const float inv = 1.0f / sum;
+        for (Index j = 0; j < span; ++j) {
+          const float w = scores[j] * inv;
+          const float* vv =
+              st.cross_v.row(row_base + span_begin + j) + head_off;
+          simd::axpy(w, vv, out, dh);
+        }
+      }
+    }
+    layer.cross_attn().wo().forward(attn, m, delta);
+    residual_norm(y, layer, 1, x);
 
     // ---- Feed-forward ----------------------------------------------------
-    x = residual_norm(x2, layer.ffn().forward(x2), layer.ln_gamma(2),
-                      layer.ln_beta(2), layer.eps());
+    layer.ffn().forward(x, m, hidden, delta);
+    residual_norm(x, layer, 2, y);
+    std::swap(x, y);
   }
 
-  // ---- Next-token selection & track bookkeeping --------------------------
-  const Tensor logits = model_.output_projection().forward(x);
-  std::vector<Index> next;
-  if (opts_.strategy == DecodeStrategy::kGreedy) {
-    next = argmax_rows(logits);
-  } else {
-    next.resize(static_cast<std::size_t>(a_count));
-    for (Index ai = 0; ai < a_count; ++ai) {
-      const std::size_t a = active[static_cast<std::size_t>(ai)];
-      next[static_cast<std::size_t>(ai)] =
-          sample_top_k(logits.row(ai), cfg.vocab_size, opts_.top_k,
-                       opts_.temperature, track_rng_[a]);
+  // ---- Logits & next-token selection -------------------------------------
+  float* logits = logits_.data() + first * static_cast<std::size_t>(vocab);
+  model_.output_projection().forward(x, m, logits);
+  for (Index i = 0; i < m; ++i) {
+    const std::size_t a = ids[i];
+    const float* row = logits + i * vocab;
+    if (opts_.strategy == DecodeStrategy::kGreedy) {
+      Index best = 0;  // first maximum, like argmax_rows
+      for (Index v = 1; v < vocab; ++v)
+        if (row[v] > row[best]) best = v;
+      next_token_[a] = best;
+    } else {
+      SampleScratch& scratch = sample_scratch_[s];
+      next_token_[a] = sample_top_k(row, vocab, opts_.top_k, opts_.temperature,
+                                    track_rng_[a], scratch.best,
+                                    scratch.weights);
     }
   }
-  for (Index ai = 0; ai < a_count; ++ai) {
-    const std::size_t a = active[static_cast<std::size_t>(ai)];
-    const Index token = next[static_cast<std::size_t>(ai)];
-    tracks_[a].emitted.push_back(token);
-    const Index cap = opts_.cap_at_source_length
-                          ? std::min(max_steps_, tracks_[a].src_len)
-                          : max_steps_;
+}
+
+DecodeStepOutcome DecodeSession::step() {
+  TCB_CHECK(!done(), "DecodeSession::step called when done");
+  ThreadPool& pool = ThreadPool::global();
+  plan_slices(pool.parallelism());
+  step_count_ += 1;
+  result_.steps = step_count_;
+
+  // Source mask geometry (debug-checked in the slices); the build was warmed
+  // in the constructor, so this is the lock-free published-pointer fast
+  // path.
+  const SegmentCache& src_cache = memory_.plan.segment_cache(memory_.width);
+
+  // Every active track appends one K and one V row per layer this step.
+  // Caches only grow within a step, so the peak is read once, after all
+  // appends, exactly as a per-layer running maximum would read it.
+  const std::size_t d = static_cast<std::size_t>(model_.config().d_model);
+  cur_kv_bytes_ +=
+      order_.size() * states_.size() * 2 * d * sizeof(float);
+  result_.peak_kv_bytes = std::max(result_.peak_kv_bytes, cur_kv_bytes_);
+
+  // The one parallel region of the step: each slice runs embedding, every
+  // layer and token selection on one thread; nested ops run inline.
+  logits_.resize(order_.size() *
+                 static_cast<std::size_t>(model_.config().vocab_size));
+  const std::size_t slices = slice_begin_.size() - 1;
+  pool.parallel_for(slices, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) run_slice(s, src_cache);
+  });
+
+  // ---- Track bookkeeping (coordinating thread, track order) --------------
+  DecodeStepOutcome outcome;
+  for (std::size_t a = 0; a < tracks_.size(); ++a) {
+    DecodeTrack& track = tracks_[a];
+    if (track.finished) continue;
+    const Index token = next_token_[a];
+    track.emitted.push_back(token);
     if (token == kEosToken ||
-        static_cast<Index>(tracks_[a].emitted.size()) >= cap) {
-      tracks_[a].finished = true;
-      outcome.finished.push_back(tracks_[a].request_id);
+        static_cast<Index>(track.emitted.size()) >= step_cap(track)) {
+      track.finished = true;
+      outcome.finished.push_back(track.request_id);
       // The track's caches stop growing now: these bytes are what an ideal
       // per-request cleaner could reclaim from here on, whether or not the
       // scheme's group-granular cleaning can.
@@ -418,7 +489,6 @@ DecodeStepOutcome DecodeSession::step() {
       result_.reclaimable_kv_bytes += bytes;
     }
   }
-
   // ---- Group completion: release events + early cleaning (§4.2.2) --------
   for (auto& group : groups_) {
     if (group.completed) continue;
@@ -460,6 +530,8 @@ void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
     st.k_cache.emplace_back();
     st.v_cache.emplace_back();
   }
+  reserve_track(tracks_.size() - 1);
+  next_token_.push_back(0);
   if (opts_.strategy == DecodeStrategy::kTopK) {
     const Rng base(opts_.sample_seed);
     track_rng_.push_back(

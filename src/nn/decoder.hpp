@@ -17,6 +17,19 @@
 // session, step it dry, take the result — bitwise identical to the old
 // monolithic loop (tests/nn/decode_session_test.cpp freezes that).
 //
+// A step is ONE parallel region (paper §4.2 / Fig. 7: different slots run
+// their attention in parallel). The active tracks are cut into at most
+// ThreadPool::parallelism() slices, each made only of whole groups, and each
+// slice runs the entire step — embedding, every decoder layer, logits and
+// token selection — on one thread, with every op it nests running inline.
+// A group's self-attention reads only its members' K/V, so no slice ever
+// reads state another slice writes. Per-slice activations live in that
+// thread's Workspace arena and every track's K/V storage is reserved to its
+// step cap when the track is created, so a warmed step allocates nothing on
+// pool threads. Every kernel a slice runs is row-wise with a fixed
+// per-element chain (tensor/gemm.cpp's contract), so tokens and logits are
+// bitwise independent of how the tracks are sliced.
+//
 // Early memory cleaning (paper §4.2.2): under the slotted scheme, when every
 // track of a slot has finished, that slot's K/V caches are released
 // immediately; under pure ConcatBatching request data cannot be separated
@@ -28,6 +41,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -206,6 +220,11 @@ class DecodeSession {
   /// when done().
   DecodeStepOutcome step();
 
+  /// The vocabulary logits `track` got in the most recent step(); empty when
+  /// the track was not active in it (or no step has run).
+  [[nodiscard]] std::span<const float> step_logits(std::size_t track) const
+      TCB_LIFETIME_BOUND;
+
   /// Splices `reqs` into the vacated span [begin, begin + width) of `row`:
   /// encodes them alone (separate PE, segment mask — so their states are
   /// bitwise what any batch would produce), overwrites the span's encoder
@@ -238,8 +257,24 @@ class DecodeSession {
     Tensor cross_v;
   };
 
-  [[nodiscard]] std::vector<std::size_t> active_tracks() const;
+  /// Per-slice top-k sampling scratch, reserved up front so sampling on a
+  /// pool thread never allocates.
+  struct SampleScratch {
+    std::vector<Index> best;
+    std::vector<double> weights;
+  };
+
+  /// Fills order_ with the active tracks, whole groups contiguous, and cuts
+  /// it into at most `parallelism` slices of whole groups (slice_begin_).
+  void plan_slices(std::size_t parallelism);
+  /// Runs the whole step for slice `s` on the calling thread.
+  void run_slice(std::size_t s, const SegmentCache& src_cache);
   void append_track(DecodeTrack track, std::size_t group_index);
+  /// Tokens track `t` may emit at most (its step cap).
+  [[nodiscard]] Index step_cap(const DecodeTrack& t) const noexcept;
+  /// Reserves track `t`'s emitted list and per-layer K/V caches to its step
+  /// cap, so the per-step appends on pool threads never reallocate.
+  void reserve_track(std::size_t t);
 
   const Seq2SeqModel& model_;
   EncoderMemory memory_;
@@ -251,6 +286,13 @@ class DecodeSession {
   std::vector<std::size_t> group_of_;  ///< track index -> group index
   std::vector<LayerState> states_;     ///< one per decoder layer
   std::vector<Rng> track_rng_;         ///< kTopK per-request streams
+  // Per-step slicing, rebuilt by plan_slices() on the coordinating thread.
+  std::vector<std::size_t> order_;        ///< active tracks, groups contiguous
+  std::vector<std::size_t> group_start_;  ///< order_ offset of each group
+  std::vector<std::size_t> slice_begin_;  ///< order_ offsets, slices + 1
+  std::vector<Index> next_token_;         ///< per track, written by slices
+  std::vector<float> logits_;             ///< (order_.size(), vocab)
+  std::vector<SampleScratch> sample_scratch_;  ///< one per slice (kTopK)
   std::size_t cur_kv_bytes_ = 0;
   Index step_count_ = 0;
   DecodeResult result_;

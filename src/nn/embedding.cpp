@@ -11,16 +11,17 @@ Embedding::Embedding(Index vocab, Index d_model, Rng& rng)
 Tensor Embedding::lookup(std::span<const Index> ids) const {
   const Index d = d_model();
   Tensor out(Shape{static_cast<Index>(ids.size()), d});
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const Index id = ids[i];
-    if (id < 0 || id >= vocab())
-      throw std::out_of_range("Embedding::lookup: token id " +
-                              std::to_string(id) + " outside vocab");
-    std::memcpy(out.raw() + static_cast<std::size_t>(i) * d,
-                table_.raw() + static_cast<std::size_t>(id) * d,
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    std::memcpy(out.raw() + static_cast<std::size_t>(i) * d, row(ids[i]),
                 static_cast<std::size_t>(d) * sizeof(float));
-  }
   return out;
+}
+
+const float* Embedding::row(Index id) const {
+  if (id < 0 || id >= vocab())
+    throw std::out_of_range("Embedding::lookup: token id " +
+                            std::to_string(id) + " outside vocab");
+  return table_.row(id);
 }
 
 }  // namespace tcb

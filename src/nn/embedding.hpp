@@ -4,6 +4,7 @@
 #include <span>
 
 #include "tensor/tensor.hpp"
+#include "util/lifetime.hpp"
 #include "util/numeric.hpp"
 
 namespace tcb {
@@ -19,6 +20,9 @@ class Embedding {
   /// ids (n) -> embeddings (n, d_model). Out-of-range ids throw.
   /// A pure per-id copy: trivially concat-invariant.
   [[nodiscard]] Tensor lookup(std::span<const Index> ids) const TCB_BITWISE;
+
+  /// The d_model-float embedding row of one id. Out-of-range ids throw.
+  [[nodiscard]] const float* row(Index id) const TCB_BITWISE TCB_LIFETIME_BOUND;
 
  private:
   Tensor table_;  ///< (vocab, d_model)

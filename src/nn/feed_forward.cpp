@@ -1,6 +1,7 @@
 #include "nn/feed_forward.hpp"
 
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace tcb {
 
@@ -16,6 +17,13 @@ Tensor FeedForward::forward(const Tensor& x) const {
   lin1_.forward(x, h);
   relu_inplace(h);
   return lin2_.forward(h);
+}
+
+void FeedForward::forward(const float* x, Index m, float* hidden,
+                          float* y) const {
+  lin1_.forward(x, m, hidden);
+  simd::relu(hidden, m * lin1_.out_features());
+  lin2_.forward(hidden, m, y);
 }
 
 }  // namespace tcb

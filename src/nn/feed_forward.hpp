@@ -14,6 +14,10 @@ class FeedForward {
 
   /// x: (m, d_model) -> (m, d_model). Purely row-wise: concat-invariant.
   [[nodiscard]] Tensor forward(const Tensor& x) const TCB_BITWISE;
+  /// Raw-pointer form over m dense rows: x (m, d_model) -> y (m, d_model),
+  /// with `hidden` (m, d_ff) caller scratch. Same per-row numerics.
+  void forward(const float* x, Index m, float* hidden, float* y) const
+      TCB_BITWISE;
 
  private:
   Linear lin1_, lin2_;

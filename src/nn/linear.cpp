@@ -22,4 +22,9 @@ void Linear::forward(const Tensor& x, Tensor& y) const {
   add_bias_inplace(y, bias_);
 }
 
+void Linear::forward(const float* x, Index m, float* y) const {
+  matmul(x, weight_.raw(), y, m, in_features(), out_features());
+  add_bias_inplace(y, m, bias_);
+}
+
 }  // namespace tcb

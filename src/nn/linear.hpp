@@ -21,6 +21,9 @@ class Linear {
   /// x — bitwise-identical whatever else is in the batch.
   [[nodiscard]] Tensor forward(const Tensor& x) const TCB_BITWISE;
   void forward(const Tensor& x, Tensor& y) const TCB_BITWISE;
+  /// Raw-pointer form over m dense rows: x (m, in) -> y (m, out), for
+  /// activations held in a Workspace arena. Same per-row numerics.
+  void forward(const float* x, Index m, float* y) const TCB_BITWISE;
 
   [[nodiscard]] const Tensor& weight() const noexcept TCB_LIFETIME_BOUND {
     return weight_;

@@ -9,11 +9,27 @@
 namespace tcb {
 namespace {
 
-/// True on threads owned by a pool. Nested parallel_for / submit-spawned
-/// loops must not block on queue slots their own siblings occupy — a worker
-/// that waits for queued chunks while every other worker does the same
-/// deadlocks the pool — so nested calls run their range inline instead.
-thread_local bool tls_in_worker = false;
+/// True on threads owned by a pool, and on any thread while it runs a
+/// parallel_for chunk. Nested parallel_for / submit-spawned loops must not
+/// block on queue slots their own siblings occupy — a worker that waits for
+/// queued chunks while every other worker does the same deadlocks the pool —
+/// and a caller that re-enqueues from inside its own chunk only queues
+/// behind workers already busy with that chunk's siblings. So a parallel_for
+/// nested anywhere inside another one runs its whole range inline.
+thread_local bool tls_in_region = false;
+
+/// Marks the calling thread as inside a parallel region for one chunk,
+/// restoring the previous state (nested regions, throwing chunks).
+class RegionGuard {
+ public:
+  RegionGuard() noexcept : prev_(tls_in_region) { tls_in_region = true; }
+  ~RegionGuard() { tls_in_region = prev_; }
+  RegionGuard(const RegionGuard&) = delete;
+  RegionGuard& operator=(const RegionGuard&) = delete;
+
+ private:
+  bool prev_;
+};
 
 /// Stack-allocated completion latch for one parallel_for call. The last
 /// worker notifies while *holding* the mutex: the caller cannot return from
@@ -104,16 +120,18 @@ std::future<void> ThreadPool::submit(std::function<void()> fn TCB_ESCAPES) {
   return fut;
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn TCB_NO_ESCAPE) {
+void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
+                              const RangeFnRef& fn TCB_NO_ESCAPE) {
   if (n == 0) return;
   grain = std::max<std::size_t>(grain, 1);
   const std::size_t max_chunks = (n + grain - 1) / grain;
   std::size_t chunks = std::min(parallelism(), max_chunks);
-  // Single chunk, no workers, or a nested call from inside the pool: run the
-  // whole range inline on the calling thread.
-  if (chunks <= 1 || threads_.empty() || tls_in_worker) {
+  // Single chunk, no workers, or a call nested inside another parallel_for
+  // (on a worker or in the caller's own chunk): run the whole range inline
+  // on the calling thread. The range is still a region, so whatever it
+  // nests runs inline too.
+  if (chunks <= 1 || threads_.empty() || tls_in_region) {
+    const RegionGuard region;
     fn(0, n);
     return;
   }
@@ -151,6 +169,7 @@ void ThreadPool::parallel_for(
   // frame's latch and fn.
   std::exception_ptr caller_err;
   try {
+    const RegionGuard region;
     fn(0, step);
   } catch (...) {
     caller_err = std::current_exception();
@@ -162,7 +181,7 @@ void ThreadPool::parallel_for(
 }
 
 void ThreadPool::worker_loop() {
-  tls_in_worker = true;
+  tls_in_region = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -179,9 +198,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn
-                      TCB_NO_ESCAPE,
+void parallel_for(std::size_t n, const RangeFnRef& fn TCB_NO_ESCAPE,
                   std::size_t grain) {
   ThreadPool::global().parallel_for(n, grain, fn);
 }

@@ -11,9 +11,12 @@
 //   * Workers are joined in the destructor (RAII); no detached threads.
 //     Tasks already queued at teardown are drained before the workers exit;
 //     submit() racing a teardown runs the task on the calling thread.
-//   * parallel_for called from inside a pool task (nested loops, or a
-//     submitted task that fans out) runs its whole range inline on that
-//     worker — blocking on sibling queue slots would deadlock the pool.
+//   * parallel_for called from inside another parallel_for chunk — on a
+//     worker or in the caller's own chunk — or from a submitted task runs
+//     its whole range inline on that thread: blocking on sibling queue slots
+//     would deadlock the pool, and the caller's re-enqueued chunks would
+//     only wait behind workers busy with its siblings. One fan-out per
+//     region; whatever a chunk nests is serial on its thread (DESIGN.md §9).
 //   * parallel_for's completion latch notifies while holding its mutex, so
 //     the caller can never unwind the latch's stack frame while a worker is
 //     still signalling it. The suite in tests/parallel/ hammers these paths
@@ -28,14 +31,42 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/sync.hpp"
 #include "util/lifetime.hpp"
 
 namespace tcb {
+
+/// Non-owning reference to a `void(std::size_t begin, std::size_t end)`
+/// callable: two words, never allocates. parallel_for takes its body this
+/// way because the body never outlives the call (TCB_NO_ESCAPE), while
+/// converting a lambda that captures more than two words to std::function
+/// heap-allocates — on every nested, inline call from a pool thread too.
+class RangeFnRef {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, RangeFnRef> &&
+                std::is_invocable_v<F&, std::size_t, std::size_t>>>
+  RangeFnRef(F&& fn) noexcept  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::size_t begin, std::size_t end) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const {
+    call_(obj_, begin, end);
+  }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::size_t, std::size_t);
+};
 
 class ThreadPool {
  public:
@@ -68,13 +99,14 @@ class ThreadPool {
   /// Splits [0, n) into contiguous chunks of at least `grain` items and runs
   /// `fn(begin, end)` on each chunk; every dispatched chunk is non-empty.
   /// Blocks until every chunk finishes. The calling thread executes one
-  /// chunk itself, and a `grain` of 0 is treated as 1. Exceptions from
-  /// chunks are rethrown after all chunks retire (first one wins).
+  /// chunk itself, and a `grain` of 0 is treated as 1. A call nested inside
+  /// any parallel_for chunk (or a submitted task) runs `fn(0, n)` inline.
+  /// Exceptions from chunks are rethrown after all chunks retire (first one
+  /// wins).
   /// `fn` is TCB_NO_ESCAPE — every chunk retires before this returns, so
   /// by-reference captures of locals are safe by contract.
   void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn
-                        TCB_NO_ESCAPE) TCB_EXCLUDES(mutex_);
+                    const RangeFnRef& fn TCB_NO_ESCAPE) TCB_EXCLUDES(mutex_);
 
  private:
   void worker_loop() TCB_EXCLUDES(mutex_);
@@ -90,9 +122,7 @@ class ThreadPool {
 
 /// Convenience wrapper over the global pool with a default grain of 1.
 /// `fn` is TCB_NO_ESCAPE, same contract as the member parallel_for.
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn
-                      TCB_NO_ESCAPE,
+void parallel_for(std::size_t n, const RangeFnRef& fn TCB_NO_ESCAPE,
                   std::size_t grain = 1);
 
 }  // namespace tcb

@@ -23,16 +23,22 @@
 // after the first call warms the arenas, repeated GEMMs perform zero heap
 // allocations.
 //
-// Numerical contract: every C element is one fused-multiply-add chain in
-// ascending k order per kc-block (lanes are distinct output columns, rows
-// are distinct accumulators), and the zero padding contributes exact 0.0f.
-// This holds for EVERY microkernel variant — changing MR/NR only moves an
-// element between registers, never reorders its chain — and the autotuner
-// keeps kc >= 256, so batched and single-request runs of the same layer
-// agree bitwise for k <= 256 exactly as before — the property the
-// concat-vs-single equivalence suite relies on. The small-m fast path below
-// produces the identical chain. The scalar reference (tcb::ref::matmul)
-// reassociates differently and is compared under tolerance instead.
+// Numerical contract: every C element of matmul is ONE fused-multiply-add
+// chain in ascending k order over the whole depth, starting from 0 (lanes
+// are distinct output columns, rows are distinct accumulators), and the zero
+// padding contributes exact 0.0f. A kc-block after the first loads the C
+// tile back into the accumulators and continues the chain, so the split
+// into k-blocks is invisible. This holds for EVERY microkernel variant and
+// EVERY kc — changing MR/NR only moves an element between registers, never
+// reorders its chain — and the small-m fast path below (simd::axpy, FMA in
+// every lane and in the tail) produces the identical chain. So a row of C
+// is bitwise the same whatever other rows share the call, whichever path
+// or blocking the shape routes to, for every k: batched and single-request
+// runs of a layer agree, and so does a decode step sliced across workers
+// (the property the concat-vs-single equivalence suites rely on). matmul_nt's
+// small path reduces per-lane dot products instead and is not part of this
+// contract. The scalar reference (tcb::ref::matmul) reassociates
+// differently and is compared under tolerance instead.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -57,7 +63,10 @@ constexpr Index kKc = 256;
 // --- microkernel variants --------------------------------------------------
 //
 // ukernel<MR, NV> computes an MR x (NV * lane-width) tile:
-// ctile[r * NR + j] = sum_p ap[p * MR + r] * bp[p * NR + j]. `ap` is k-major
+// ctile[r * NR + j] += sum_p ap[p * MR + r] * bp[p * NR + j], each element's
+// FMA chain starting from the value already in ctile (0 for the first
+// k-block, the chain so far for later ones — never a separately rounded
+// partial sum added afterwards). `ap` is k-major
 // (MR values per depth), `bp` likewise with NR values per depth; both are
 // zero-padded by the packers. Variants must keep MR * NV accumulators plus
 // NV B vectors plus one A broadcast inside the register file.
@@ -69,7 +78,8 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
   constexpr Index kNR = NV * 16;
   __m512 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = _mm512_loadu_ps(ctile + r * kNR + 16 * v);
   for (Index p = 0; p < kc; ++p) {
     __m512 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm512_loadu_ps(bp + p * kNR + 16 * v);
@@ -91,7 +101,8 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
   constexpr Index kNR = NV * 8;
   __m256 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = _mm256_loadu_ps(ctile + r * kNR + 8 * v);
   for (Index p = 0; p < kc; ++p) {
     __m256 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(bp + p * kNR + 8 * v);
@@ -113,7 +124,7 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
   constexpr Index kNR = NV * 4;
   float32x4_t acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = vdupq_n_f32(0.0f);
+    for (int v = 0; v < NV; ++v) acc[r][v] = vld1q_f32(ctile + r * kNR + 4 * v);
   for (Index p = 0; p < kc; ++p) {
     float32x4_t b[NV];
     for (int v = 0; v < NV; ++v) b[v] = vld1q_f32(bp + p * kNR + 4 * v);
@@ -132,7 +143,8 @@ void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
 template <int MR, int NV>
 void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
   constexpr Index kNR = NV * 8;
-  float acc[MR * kNR] = {};
+  float acc[MR * kNR];
+  for (Index i = 0; i < MR * kNR; ++i) acc[i] = ctile[i];
   for (Index p = 0; p < kc; ++p) {
     const float* arow = ap + p * MR;
     const float* brow = bp + p * kNR;
@@ -290,16 +302,27 @@ void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
               const Index jn = std::min<Index>(nr, n - j0);
               const float* bpanel = bp + static_cast<std::size_t>(jp) *
                                             static_cast<std::size_t>(kc) * nr;
+              // Seed the accumulators: 0 on the first k-block, the chains
+              // so far on later ones. Padding lanes start at 0 and are
+              // clipped on write-back.
+              for (Index r = 0; r < mr_max; ++r) {
+                float* trow = ctile + r * nr;
+                Index j = 0;
+                if (!first_block && r < mr) {
+                  const float* crow = pc + static_cast<std::size_t>(i0 + r) *
+                                               static_cast<std::size_t>(n) +
+                                      j0;
+                  for (; j < jn; ++j) trow[j] = crow[j];
+                }
+                for (; j < nr; ++j) trow[j] = 0.0f;
+              }
               uk.fn(kc, ap, bpanel, ctile);
               for (Index r = 0; r < mr; ++r) {
                 float* crow = pc + static_cast<std::size_t>(i0 + r) *
                                        static_cast<std::size_t>(n) +
                               j0;
                 const float* trow = ctile + r * nr;
-                if (first_block)
-                  for (Index j = 0; j < jn; ++j) crow[j] = trow[j];
-                else
-                  for (Index j = 0; j < jn; ++j) crow[j] += trow[j];
+                for (Index j = 0; j < jn; ++j) crow[j] = trow[j];
               }
             }
           }
@@ -410,16 +433,22 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   const Index m = a.dim(0), k = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k, "matmul: inner dimension mismatch");
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    c.fill(0.0f);
+  matmul(a.raw(), b.raw(), c.raw(), m, k, n);
+}
+
+void matmul(const float* a, const float* b, float* c, Index m, Index k,
+            Index n) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    std::fill(c, c + static_cast<std::size_t>(m) * static_cast<std::size_t>(n),
+              0.0f);
     return;
   }
   if (use_blocked(m, n, k))
-    gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/false,
+    gemm_blocked(a, b, c, m, k, n, /*transposed_b=*/false,
                  select_blocking(classify_gemm(m, n)));
   else
-    gemm_small_nn(a.raw(), b.raw(), c.raw(), m, k, n);
+    gemm_small_nn(a, b, c, m, k, n);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -39,10 +39,14 @@ void add_inplace(Tensor& y, const Tensor& x) {
 
 void add_bias_inplace(Tensor& y, const Tensor& bias) {
   require(y.rank() == 2 && bias.rank() == 1, "add_bias: (m,n) + (n) required");
-  const Index m = y.dim(0), n = y.dim(1);
-  require(bias.dim(0) == n, "add_bias: width mismatch");
+  require(bias.dim(0) == y.dim(1), "add_bias: width mismatch");
+  add_bias_inplace(y.raw(), y.dim(0), bias);
+}
+
+void add_bias_inplace(float* py, Index m, const Tensor& bias) {
+  require(bias.rank() == 1, "add_bias: rank-1 bias required");
+  const Index n = bias.dim(0);
   const float* pb = bias.raw();
-  float* py = y.raw();
   parallel_for(
       static_cast<std::size_t>(m),
       [&](std::size_t begin, std::size_t end) {
@@ -87,15 +91,19 @@ void softmax_rows_inplace(Tensor& t) {
 void layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                 float eps, Tensor& y) {
   require(x.rank() == 2, "layer_norm: rank-2 input required");
-  const Index m = x.dim(0), d = x.dim(1);
-  require(gamma.rank() == 1 && gamma.dim(0) == d, "layer_norm: gamma shape");
-  require(beta.rank() == 1 && beta.dim(0) == d, "layer_norm: beta shape");
+  require(gamma.rank() == 1 && gamma.dim(0) == x.dim(1),
+          "layer_norm: gamma shape");
   if (!(y.shape() == x.shape())) y = Tensor(x.shape());
+  layer_norm(x.raw(), x.dim(0), gamma, beta, eps, y.raw());
+}
 
-  const float* px = x.raw();
+void layer_norm(const float* px, Index m, const Tensor& gamma,
+                const Tensor& beta, float eps, float* py) {
+  require(gamma.rank() == 1, "layer_norm: gamma shape");
+  const Index d = gamma.dim(0);
+  require(beta.rank() == 1 && beta.dim(0) == d, "layer_norm: beta shape");
   const float* pg = gamma.raw();
   const float* pb = beta.raw();
-  float* py = y.raw();
   parallel_for(
       static_cast<std::size_t>(m),
       [&](std::size_t begin, std::size_t end) {

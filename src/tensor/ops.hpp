@@ -29,6 +29,12 @@ inline constexpr float kMaskedOut = -1e30f;
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) TCB_BITWISE;
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) TCB_BITWISE;
 
+/// Raw-pointer form for rows held in scratch memory (a Workspace arena):
+/// c(m,n) = a(m,k) * b(k,n), all dense row-major, c fully overwritten. Same
+/// routing and per-row numerical contract as the Tensor form.
+void matmul(const float* a, const float* b, float* c, Index m, Index k,
+            Index n) TCB_BITWISE;
+
 /// C = A(m,k) * B(n,k)^T, i.e. pairwise dot products. Used for Q·K^T where K
 /// is stored row-major per position.
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) TCB_BITWISE;
@@ -45,6 +51,8 @@ void add_inplace(Tensor& y, const Tensor& x) TCB_BITWISE;
 
 /// Adds a length-n bias vector to every row of a (m,n) tensor.
 void add_bias_inplace(Tensor& y, const Tensor& bias) TCB_BITWISE;
+/// Raw-pointer form: y holds m dense rows of bias.dim(0) floats.
+void add_bias_inplace(float* y, Index m, const Tensor& bias) TCB_BITWISE;
 
 /// y *= s.
 void scale_inplace(Tensor& y, float s) TCB_BITWISE;
@@ -58,6 +66,9 @@ void softmax_rows_inplace(Tensor& t) TCB_BITWISE;
 /// + beta, for each row of a (m,d) tensor.
 void layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                 float eps, Tensor& y) TCB_BITWISE;
+/// Raw-pointer form: x and y hold m dense rows of gamma.dim(0) floats.
+void layer_norm(const float* x, Index m, const Tensor& gamma,
+                const Tensor& beta, float eps, float* y) TCB_BITWISE;
 
 /// Elementwise ReLU in place.
 void relu_inplace(Tensor& t) TCB_BITWISE;

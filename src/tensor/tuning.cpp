@@ -62,9 +62,9 @@ CacheGeometry detect_geometry() {
 
 // --- candidate generation --------------------------------------------------
 
-/// kc floor preserving gemm.cpp's bitwise batching-invariance contract for
-/// k <= 256 (see the numerical-contract comment there); candidates never go
-/// below it.
+/// kc floor: shallower blocks pack B more often than they save. (The
+/// bitwise batching contract no longer depends on it — gemm.cpp continues
+/// each element's chain across k-blocks.)
 constexpr Index kKcFloor = 256;
 constexpr Index kKcCeil = 1024;
 

@@ -18,11 +18,11 @@
 //                          in a measured region) plus optional persistence
 //                          via TCB_TUNE_CACHE=<file>.
 //
-// Determinism: every candidate keeps kc >= 256, which preserves gemm.cpp's
-// bitwise concat-equivalence contract for k <= 256 (one FMA chain per
-// element regardless of the tile), and a process uses one published choice
-// for all GEMMs of a class, so intra-process differential tests are
-// unaffected. Tuning defaults ON in optimized builds (NDEBUG) and OFF in
+// Determinism: whatever candidate is picked, gemm.cpp keeps one ascending-k
+// FMA chain per element over the whole depth (later k-blocks continue the
+// chain from the C tile), so results are independent of the tile and of
+// kc for every k — the tuner changes speed, never bits — and a row of C is
+// the same alone or batched (the concat-equivalence contract). Tuning defaults ON in optimized builds (NDEBUG) and OFF in
 // debug/sanitizer builds; TCB_GEMM_AUTOTUNE=1/0 overrides either way.
 #pragma once
 
@@ -97,8 +97,8 @@ struct GemmKernelInfo {
 /// Runs C(m,n) = A(m,k) * B once through the blocked path with an explicit
 /// blocking — the tuner's trial entry point. B is (k,n) row-major, or (n,k)
 /// when `transposed_b`.
-/// TCB_BITWISE: every candidate blocking keeps the per-element ascending-k
-/// FMA chain (kc >= 256 floor), so the result is tile-independent.
+/// TCB_BITWISE: every blocking keeps the per-element ascending-k FMA chain
+/// over the whole depth, so the result is tile- and kc-independent.
 void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
                        Index k, Index n, bool transposed_b,
                        const GemmBlocking& blk) TCB_BITWISE;

@@ -41,25 +41,35 @@ float* Workspace::alloc(std::size_t n_floats) {
   const std::size_t n = std::max<std::size_t>(
       kAlignFloats, (n_floats + kAlignFloats - 1) & ~(kAlignFloats - 1));
   if (active_ >= chunks_.size() || chunks_[active_].capacity - offset_ < n) {
-    if (active_ < chunks_.size()) used_before_active_ += offset_;
-    // Overflow: open a new chunk directly after the active one. Chunks that
-    // were already behind that position are pushed back, never reused on
-    // this pass — but on the next identical pass the same walk finds the
-    // bigger chunk in place, so a warmed arena never allocates again.
-    const std::size_t grown =
-        chunks_.empty() ? kMinChunkFloats : 2 * chunks_.back().capacity;
-    const std::size_t cap = std::max({n, kMinChunkFloats, grown});
-    Chunk c;
-    c.storage.resize(cap + kAlignFloats);
-    c.capacity = cap;
+    // Overflow: continue in the chunk directly after the active one. Every
+    // chunk past active_ is parked (LIFO scopes rewound everything in it),
+    // so the first parked chunk that fits is rotated into that position and
+    // reused; only when none fits is a new, larger chunk inserted there.
+    // A warmed arena therefore stops allocating no matter how the overflow
+    // points move from one pass to the next.
     const std::size_t at = chunks_.empty() ? 0 : active_ + 1;
-    chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(at),
-                   std::move(c));
+    if (!chunks_.empty()) used_before_active_ += offset_;
+    std::size_t fit = at;
+    while (fit < chunks_.size() && chunks_[fit].capacity < n) ++fit;
+    if (fit < chunks_.size()) {
+      std::rotate(chunks_.begin() + static_cast<std::ptrdiff_t>(at),
+                  chunks_.begin() + static_cast<std::ptrdiff_t>(fit),
+                  chunks_.begin() + static_cast<std::ptrdiff_t>(fit) + 1);
+    } else {
+      const std::size_t grown =
+          chunks_.empty() ? kMinChunkFloats : 2 * chunks_[active_].capacity;
+      const std::size_t cap = std::max({n, kMinChunkFloats, grown});
+      Chunk c;
+      c.storage.resize(cap + kAlignFloats);
+      c.capacity = cap;
+      chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(at),
+                     std::move(c));
+      g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
+      g_reserved_bytes.fetch_add((cap + kAlignFloats) * sizeof(float),
+                                 std::memory_order_relaxed);
+    }
     active_ = at;
     offset_ = 0;
-    g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_reserved_bytes.fetch_add((cap + kAlignFloats) * sizeof(float),
-                               std::memory_order_relaxed);
   }
   float* p = base(chunks_[active_]) + offset_;
   offset_ += n;
@@ -69,14 +79,11 @@ float* Workspace::alloc(std::size_t n_floats) {
 }
 
 void Workspace::rewind(Mark m) noexcept {
+  // The mark carries the exact in-use tally of the chunks below it, so the
+  // high-water statistic counts bytes handed out, not chunk capacities.
   active_ = m.chunk;
   offset_ = m.offset;
-  // Recompute the parked-floats tally for the high-water stat. Chunks below
-  // the mark are full up to their capacity only conceptually; what matters
-  // is monotonicity, so an upper bound of their capacities is fine.
-  used_before_active_ = 0;
-  for (std::size_t i = 0; i < active_ && i < chunks_.size(); ++i)
-    used_before_active_ += chunks_[i].capacity;
+  used_before_active_ = m.used_before;
 }
 
 Workspace::Stats Workspace::stats() const noexcept {

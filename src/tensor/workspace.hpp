@@ -35,7 +35,8 @@ class Workspace {
  public:
   struct Stats {
     std::size_t reserved_bytes = 0;    ///< sum of this thread's chunk sizes
-    std::size_t high_water_bytes = 0;  ///< peak simultaneous bytes in use
+    std::size_t high_water_bytes = 0;  ///< peak simultaneous bytes handed
+                                       ///< out (alignment rounding included)
   };
 
   Workspace() = default;
@@ -61,7 +62,8 @@ class Workspace {
 
   struct Mark {
     std::size_t chunk = 0;
-    std::size_t offset = 0;  ///< floats used in that chunk
+    std::size_t offset = 0;       ///< floats used in that chunk
+    std::size_t used_before = 0;  ///< floats in use in the chunks below it
   };
 
   struct Chunk {
@@ -70,7 +72,9 @@ class Workspace {
   };
 
   [[nodiscard]] float* alloc(std::size_t n_floats);
-  [[nodiscard]] Mark mark() const noexcept { return Mark{active_, offset_}; }
+  [[nodiscard]] Mark mark() const noexcept {
+    return Mark{active_, offset_, used_before_active_};
+  }
   void rewind(Mark m) noexcept;
 
   /// Aligned base of a chunk's storage.
@@ -79,7 +83,7 @@ class Workspace {
   std::vector<Chunk> chunks_;
   std::size_t active_ = 0;  ///< chunk currently bumped into
   std::size_t offset_ = 0;  ///< floats used in the active chunk
-  std::size_t used_before_active_ = 0;  ///< floats parked in chunks < active_
+  std::size_t used_before_active_ = 0;  ///< floats in use in chunks < active_
   std::size_t high_water_floats_ = 0;
   std::uint32_t live_scopes_ = 0;  ///< for the LIFO discipline check
 };

@@ -18,6 +18,12 @@ struct SweepParam {
   double rate;
 };
 
+// Deterministic test names; the default byte dump would print the scheduler
+// pointer and struct padding, which change from one process to the next.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << scheme_name(p.scheme) << "_" << p.scheduler << "_rate" << p.rate;
+}
+
 class ServingSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(ServingSweepTest, InvariantsHoldAcrossTheGrid) {

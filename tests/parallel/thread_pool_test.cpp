@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -164,6 +165,52 @@ TEST(ThreadPoolTest, CallerChunkExceptionPropagates) {
                                  }),
                std::invalid_argument);
   EXPECT_GT(worker_chunks, 0);
+}
+
+TEST(ThreadPoolTest, NestedCallInCallerChunkRunsInline) {
+  // A parallel_for nested inside the caller's own chunk must run its whole
+  // range on the caller, as nested calls on workers do. The sibling chunks
+  // hold every worker until the caller's nested loop has finished, so a
+  // nested call that enqueued instead would sit behind them: the workers
+  // would time out waiting and the nested chunks would run elsewhere.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> nested_done{false};
+  std::atomic<int> worker_timeouts{0};
+  std::atomic<int> foreign_nested_chunks{0};
+  std::atomic<int> nested_items{0};
+  pool.parallel_for(4, 1, [&](std::size_t b, std::size_t e) {
+    if (b == 0) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      pool.parallel_for(64, 1, [&](std::size_t nb, std::size_t ne) {
+        if (std::this_thread::get_id() != caller) ++foreign_nested_chunks;
+        nested_items += static_cast<int>(ne - nb);
+      });
+      nested_done = true;
+      return;
+    }
+    (void)e;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!nested_done) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ++worker_timeouts;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(nested_items, 64);
+  EXPECT_EQ(foreign_nested_chunks, 0);
+  EXPECT_EQ(worker_timeouts, 0);
+
+  // The region ends with the chunk: a later top-level call fans out again.
+  std::atomic<int> off_caller{0};
+  pool.parallel_for(4, 1, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  EXPECT_GT(off_caller, 0);
 }
 
 TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {

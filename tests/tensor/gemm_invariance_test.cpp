@@ -1,0 +1,104 @@
+// Batching invariance of matmul for every depth k (tensor/gemm.cpp's
+// numerical contract): a row of C must be bitwise the same whether it is
+// computed alone (the small-m row-streaming path) or alongside other rows
+// (the blocked path, any microkernel, any kc). The blocked path used to add
+// each later k-block's partial sum onto C, which split every element's FMA
+// chain once k > kc — so a 16-row FFN down-projection (k = d_ff = 512)
+// disagreed with the same rows multiplied one at a time, and a decode step's
+// numerics depended on how its rows were sliced across workers.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "tensor/ops.hpp"
+#include "tensor/tuning.hpp"
+
+namespace tcb {
+namespace {
+
+/// Rows of `c` vs the same rows of `a` multiplied one at a time.
+void expect_rows_match_solo(const Tensor& a, const Tensor& b, const Tensor& c,
+                            const std::string& what) {
+  const Index m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor row(Shape{1, k});
+  Tensor solo;
+  for (Index i = 0; i < m; ++i) {
+    std::copy(a.row(i), a.row(i) + k, row.raw());
+    matmul(row, b, solo);
+    Index mismatched = 0;
+    for (Index j = 0; j < n; ++j)
+      if (solo.at(0, j) != c.at(i, j)) ++mismatched;
+    EXPECT_EQ(mismatched, 0) << what << " row " << i;
+  }
+}
+
+/// Runs with TCB_GEMM_AUTOTUNE forced to the parameter, re-resolving the
+/// per-class blockings under it, and restores the environment afterwards.
+class GemmInvarianceTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    if (const char* v = std::getenv("TCB_GEMM_AUTOTUNE")) saved_ = v;
+    ::setenv("TCB_GEMM_AUTOTUNE", GetParam(), 1);
+    gemm_tuning_reset_for_test();
+  }
+  void TearDown() override {
+    if (saved_)
+      ::setenv("TCB_GEMM_AUTOTUNE", saved_->c_str(), 1);
+    else
+      ::unsetenv("TCB_GEMM_AUTOTUNE");
+    gemm_tuning_reset_for_test();
+  }
+  std::optional<std::string> saved_;
+};
+
+TEST_P(GemmInvarianceTest, BatchedRowsMatchSoloRowsPastOneKBlock) {
+  Rng rng(5);
+  // k = 512 is the default model's FFN down-projection; 700 ends on a
+  // partial block; 1024 spans several blocks at every candidate kc.
+  for (const Index k : {Index{256}, Index{512}, Index{700}, Index{1024}}) {
+    for (const Index m : {Index{13}, Index{16}, Index{40}}) {
+      const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
+      const Tensor b = Tensor::random_uniform(Shape{k, 128}, rng, 1.0f);
+      Tensor c;
+      matmul(a, b, c);
+      expect_rows_match_solo(a, b, c,
+                             "k=" + std::to_string(k) +
+                                 " m=" + std::to_string(m));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Autotune, GemmInvarianceTest,
+                         ::testing::Values("0", "1"),
+                         [](const auto& info) {
+                           return std::string(info.param[0] == '0' ? "Off"
+                                                                   : "On");
+                         });
+
+TEST(GemmInvariance, EveryKernelAndBlockDepthContinuesTheChain) {
+  // Whatever the autotuner could pick — any microkernel, any kc (even one
+  // below the old 256 floor) — the blocked path equals the solo rows.
+  Rng rng(9);
+  const Index m = 16, k = 512, n = 128;
+  const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
+  const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
+  for (std::size_t kernel = 0; kernel < gemm_kernel_count(); ++kernel) {
+    for (const Index kc : {Index{64}, Index{256}, Index{384}, Index{512}}) {
+      GemmBlocking blk = gemm_default_blocking();
+      blk.kernel = static_cast<int>(kernel);
+      blk.kc = kc;
+      Tensor c(Shape{m, n});
+      gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
+                        /*transposed_b=*/false, blk);
+      expect_rows_match_solo(a, b, c,
+                             std::string(gemm_kernel_info(kernel).tag) +
+                                 "/kc" + std::to_string(kc));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tcb

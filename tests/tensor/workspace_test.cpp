@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "nn/attention.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tuning.hpp"
 #include "tensor/workspace.hpp"
@@ -74,6 +75,61 @@ TEST(WorkspaceTest, StatsTrackHighWater) {
   const auto after = ws.stats();
   EXPECT_GE(after.high_water_bytes, 200000 * sizeof(float));
   EXPECT_GE(after.reserved_bytes, before.reserved_bytes);
+}
+
+TEST(WorkspaceTest, OverflowReusesParkedChunks) {
+  // Overflow points that move from pass to pass: pass A overflows at a big
+  // request, pass B at a small one after a big prefix. The chunks parked
+  // behind the active one must be reused (rotated into place when a later
+  // one is the fit) — an arena that inserted a fresh chunk on every
+  // overflow grew by one chunk per pass here, forever. Runs on a fresh
+  // worker thread, whose arena starts empty.
+  ThreadPool pool(1);
+  pool.submit([] {
+    Workspace& ws = Workspace::this_thread();
+    const auto pass_a = [&] {
+      WorkspaceScope scope(ws);
+      (void)scope.alloc(60000);
+      (void)scope.alloc(200000);
+    };
+    const auto pass_b = [&] {
+      WorkspaceScope scope(ws);
+      (void)scope.alloc(60000);
+      (void)scope.alloc(10000);
+      (void)scope.alloc(300000);
+    };
+    pass_a();
+    pass_b();
+    const std::uint64_t warmed = Workspace::total_chunk_allocs();
+    const std::size_t reserved = ws.stats().reserved_bytes;
+    for (int i = 0; i < 5; ++i) {
+      pass_a();
+      pass_b();
+    }
+    EXPECT_EQ(Workspace::total_chunk_allocs(), warmed);
+    EXPECT_EQ(ws.stats().reserved_bytes, reserved);
+  }).get();
+}
+
+TEST(WorkspaceTest, HighWaterCountsBytesInUseNotChunkCapacity) {
+  // 60000 floats fill most of the first chunk; 10000 more overflow into a
+  // second. Rewinding an inner scope inside the second chunk must restore
+  // the exact in-use tally below it, not the first chunk's full capacity.
+  ThreadPool pool(1);
+  pool.submit([] {
+    Workspace& ws = Workspace::this_thread();
+    WorkspaceScope outer(ws);
+    (void)outer.alloc(60000);
+    WorkspaceScope mid(ws);
+    (void)mid.alloc(10000);
+    {
+      WorkspaceScope inner(ws);
+      (void)inner.alloc(4096);
+    }
+    (void)mid.alloc(4096);
+    EXPECT_EQ(ws.stats().high_water_bytes,
+              (60000 + 10000 + 4096) * sizeof(float));
+  }).get();
 }
 
 TEST(WorkspaceTest, SteadyStateForwardPathIsHeapAllocationFree) {
