@@ -38,7 +38,7 @@ int main() {
     const auto sched = make_scheduler("das", sc);
     const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                    HardwareProfile::v100_like());
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = Scheme::kConcatSlotted;
     sim.fixed_slot_len = z;
     const auto report = ServingSimulator(*sched, cost, sim).run(trace);

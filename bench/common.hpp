@@ -42,7 +42,7 @@ inline ServingReport run_serving(Scheme scheme, const std::string& scheduler,
   const auto sched = make_scheduler(scheduler, sched_cfg);
   const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                  HardwareProfile::v100_like());
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = scheme;
   const ServingSimulator simulator(*sched, cost, sim);
   return simulator.run(trace);

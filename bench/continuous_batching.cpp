@@ -49,7 +49,7 @@ int main() {
     for (const std::uint64_t seed : seeds) {
       const auto trace = generate_trace(paper_workload(rate, 20.0, seed));
       const auto sched = make_scheduler("slotted-das", sc);
-      SimulatorConfig sim;
+      PipelineConfig sim;
       sim.scheme = Scheme::kConcatSlotted;
       sim.continuous = continuous;
       const ServingSimulator simulator(*sched, cost, sim);

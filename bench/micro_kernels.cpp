@@ -92,19 +92,6 @@ void BM_LayerNorm(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNorm)->Arg(256)->Arg(768);
 
-void BM_Gelu(benchmark::State& state) {
-  const Index n = state.range(0);
-  Rng rng(6);
-  const Tensor base = Tensor::random_uniform(Shape{512, n}, rng, 2.0f);
-  for (auto _ : state) {
-    Tensor t = base.clone();
-    gelu_inplace(t);
-    benchmark::DoNotOptimize(t.raw());
-  }
-  state.SetItemsProcessed(state.iterations() * 512 * n);
-}
-BENCHMARK(BM_Gelu)->Arg(768)->Arg(3072);
-
 /// Builds a single-row plan of `slots` segments, each `z` tokens, in the
 /// layout the given mode expects (slot-per-segment when slotted).
 BatchPlan attention_plan(Index z, Index slots, AttentionMode mode) {

@@ -31,7 +31,7 @@ int main() {
   double base = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     const auto sched = make_scheduler("das", sc);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = Scheme::kConcatPure;
     sim.workers = workers;
     const auto report = ServingSimulator(*sched, cost, sim).run(trace);

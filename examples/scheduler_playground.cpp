@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     const auto trace = generate_trace(w);
     for (const auto& name : {"das", "sjf", "fcfs", "def"}) {
       const auto sched = make_scheduler(name, sc);
-      SimulatorConfig sim;
+      PipelineConfig sim;
       sim.scheme = Scheme::kConcatPure;
       const auto report = ServingSimulator(*sched, cost, sim).run(trace);
       table.row({format_number(rate), report.scheduler,

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                         Setup{Scheme::kConcatPure, "das"},
                         Setup{Scheme::kConcatSlotted, "slotted-das"}}) {
     const auto sched = make_scheduler(s.scheduler, sc);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = s.scheme;
     const auto report = ServingSimulator(*sched, cost, sim).run(trace);
     table.row({scheme_name(s.scheme), report.scheduler,

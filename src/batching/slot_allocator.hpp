@@ -10,9 +10,13 @@
 // slot here, asks for the vacant spans, and splices newly-admitted requests
 // into them between decoder iterations.
 //
-// Thread-safety: the multi-worker pipeline has one coordinator but release
-// events can surface from worker completions; every transition goes through
-// one annotated mutex, with a free list so release/allocate stay O(1)/O(k).
+// Thread-safety: in practice only the serving coordinator calls the
+// allocator. ServingPipeline steps every live batch inline, multi-worker
+// runs included, so releases and acquires both happen on the coordinator
+// thread. Every transition still goes through one annotated mutex, kept so
+// the allocator stays safe should a caller surface releases from worker
+// threads; no caller or test does today. A free list keeps
+// release/allocate at O(1)/O(k).
 // Vacancy order is the release order (FIFO), which keeps continuous-mode
 // runs deterministic: the coordinator processes step events in a canonical
 // order, so the free list's history is a pure function of the trace.

@@ -505,21 +505,25 @@ DecodeStepOutcome DecodeSession::step() {
     for (const auto m : group.members)
       rel.finished.push_back(tracks_[m].request_id);
     outcome.released.push_back(std::move(rel));
-    if (slotted_ && opts_.early_memory_cleaning) {
-      for (const auto m : group.members) {
-        for (auto& st : states_) {
-          const std::size_t bytes =
-              (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
-          cur_kv_bytes_ -= bytes;
-          result_.early_freed_bytes += bytes;
-          st.k_cache[m] = {};
-          st.v_cache[m] = {};
-        }
-      }
-      group.released = true;
-    }
+    if (slotted_ && opts_.early_memory_cleaning) release_group_kv(group);
   }
   return outcome;
+}
+
+void DecodeSession::release_group_kv(Group& group) {
+  for (const auto m : group.members) {
+    for (auto& st : states_) {
+      const std::size_t bytes =
+          (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
+      cur_kv_bytes_ -= bytes;
+      result_.early_freed_bytes += bytes;
+      // Swap with an empty vector: assigning {} would clear the cache but
+      // keep its step-cap reservation allocated until the session ends.
+      std::vector<float>().swap(st.k_cache[m]);
+      std::vector<float>().swap(st.v_cache[m]);
+    }
+  }
+  group.released = true;
 }
 
 void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
@@ -567,18 +571,7 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
     if (group.row != row) continue;
     if (slotted_ && group.slot != slot) continue;
     TCB_CHECK(group.completed, "splice: slot still has live decode tracks");
-    if (group.released) continue;
-    for (const auto m : group.members) {
-      for (auto& st : states_) {
-        const std::size_t bytes =
-            (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
-        cur_kv_bytes_ -= bytes;
-        result_.early_freed_bytes += bytes;
-        st.k_cache[m] = {};
-        st.v_cache[m] = {};
-      }
-    }
-    group.released = true;
+    if (!group.released) release_group_kv(group);
   }
 
   // Mini-encode the spliced requests alone, as one concatenated row. With

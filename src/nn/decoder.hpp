@@ -275,6 +275,9 @@ class DecodeSession {
   /// Reserves track `t`'s emitted list and per-layer K/V caches to its step
   /// cap, so the per-step appends on pool threads never reallocate.
   void reserve_track(std::size_t t);
+  /// Returns every member's K/V storage to the allocator and counts it as
+  /// freed before batch completion; marks the group released.
+  void release_group_kv(Group& group);
 
   const Seq2SeqModel& model_;
   EncoderMemory memory_;

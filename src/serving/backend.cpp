@@ -330,11 +330,21 @@ std::unique_ptr<SteppedExecution> EngineBackend::begin_stepped(
 }
 
 void EngineBackend::validate_trace(const std::vector<Request>& trace) const {
-  for (const auto& req : trace)
+  const Index vocab = model_->config().vocab_size;
+  for (const auto& req : trace) {
     if (static_cast<Index>(req.tokens.size()) != req.length)
       throw std::invalid_argument(
           "EngineBackend: request " + std::to_string(req.id) +
           " has no token payload (generate the trace with with_tokens=true)");
+    // An id outside the vocabulary would otherwise surface mid-encode, as
+    // Embedding's out_of_range, after its batch had already formed.
+    for (const Index token : req.tokens)
+      if (token < 0 || token >= vocab)
+        throw std::invalid_argument(
+            "EngineBackend: request " + std::to_string(req.id) +
+            " has token id " + std::to_string(token) +
+            " outside the vocabulary [0, " + std::to_string(vocab) + ")");
+  }
 }
 
 }  // namespace tcb

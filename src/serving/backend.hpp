@@ -185,6 +185,8 @@ class EngineBackend final : public ExecutionBackend {
   [[nodiscard]] double batch_seconds(const BatchPlan& plan) const override;
   [[nodiscard]] BatchExecution execute(const BatchWork& work) const override;
   [[nodiscard]] bool offload() const noexcept override { return true; }
+  /// Rejects requests whose token payload is missing or holds an id outside
+  /// the model's vocabulary.
   void validate_trace(const std::vector<Request>& trace) const override;
   /// Real stepped execution over a DecodeSession, priced per iteration with
   /// the analytical clock's decode_step_cost over the session's *actual*

@@ -9,18 +9,22 @@
 //   3. formation  — the Scheme's batcher lays the selection out
 //                   (batching/factory.hpp);
 //   4. pricing    — the ExecutionBackend prices the plan, advancing
-//                   simulated time deterministically;
+//                   simulated time deterministically: once per batch under
+//                   run-to-completion, once per decoder iteration (plus
+//                   splices) under continuous batching;
 //   5. execution  — the backend produces the outputs: inline for the
 //                   analytical backend, concurrently on the thread pool for
-//                   the engine backend in multi-worker mode;
+//                   the engine backend in multi-worker run-to-completion
+//                   mode, stepped inline by the coordinator when continuous;
 //   6. completion — utilities, latencies, per-worker busy time and the
 //                   responses are accounted exactly once.
 //
-// TcbSystem::serve / serve_classify / simulate and ServingSimulator are all
-// thin configurations of this class: pick a backend (engine vs analytical),
-// a Clock (virtual vs wall, see clock.hpp) and a PipelineConfig. The four
-// hand-rolled copies of this loop that used to live in core/tcb.cpp and
-// serving/simulator.cpp are gone.
+// run() is the one event loop for both modes; stages 1-3 and the accounting
+// are shared, and only what a formed batch becomes (stages 4-5) depends on
+// PipelineConfig::continuous. TcbSystem::serve / serve_classify / simulate
+// and ServingSimulator are thin configurations of this class: pick a
+// backend (engine vs analytical), a Clock (virtual vs wall, see clock.hpp)
+// and a PipelineConfig.
 //
 // Determinism: simulated time comes only from backend prices, never the
 // Clock (which measures overhead). The pending set is kept in canonical
@@ -107,43 +111,13 @@ struct PipelineConfig {
   /// the vacated spans between iterations (DESIGN.md §15). Requires a
   /// backend whose begin_stepped() returns non-null. The coordinator steps
   /// every live batch inline — multi-worker continuous runs are simulated
-  /// concurrency, deterministic by construction.
+  /// concurrency, deterministic by construction. The two splice gates (a
+  /// formation fill floor and a geometry-mismatch drain) are fixed
+  /// constants in pipeline.cpp, tuned by bench/continuous_batching.cpp.
   bool continuous = false;
 
-  /// Continuous mode: a batch accepts mid-decode splices only when its plan
-  /// laid out at least this fraction of the grid's token capacity
-  /// (rows * row_capacity). Splicing pins the batch's formation-time
-  /// geometry; a batch formed from a near-empty pending set would otherwise
-  /// stay alive indefinitely, trickling requests through its few slots while
-  /// a full-width re-formation waits. Under-filled batches instead drain and
-  /// retire so the worker can form a fresh grid. 0.6 won the bench sweep
-  /// (bench/continuous_batching.cpp) over 0.25/0.4/0.8 across arrival rates
-  /// and length distributions.
-  double splice_min_fill = 0.6;
-
-  /// Continuous mode: stop splicing into a live batch after this many decode
-  /// iterations (0 = never stop, the default). A time-boxed splice window
-  /// forces a drain tail of sparse, expensive iterations before the batch
-  /// can retire, which measures strictly worse than indefinite splicing
-  /// across the bench sweep — the knob exists for experiments, not as a
-  /// recommended setting (prefer splice_misfit_drain, which only drains when
-  /// the geometry stopped matching the arrivals).
-  std::size_t splice_horizon_steps = 0;
-
-  /// Continuous mode: drain a live batch once this fraction of the pending
-  /// set no longer fits its widest slot span (0 disables). A spliced batch
-  /// keeps its formation-time geometry forever; when the arrival mix drifts
-  /// (e.g. a bimodal workload whose long mode exceeds the frozen slot
-  /// length), splicing would serve only the short tail while the misfits
-  /// expire — draining lets the worker re-form with geometry matched to what
-  /// is actually waiting. Evaluated only against a meaningfully sized
-  /// pending set (>= 8) so a lone early misfit cannot kill a healthy batch.
-  /// The threshold is deliberately high: splicing drains short requests
-  /// first, so the pending set is survivor-biased toward misfits even when
-  /// the geometry is healthy; 0.75 kept every catastrophic-mismatch case
-  /// (bimodal long mode vs a short frozen slot length) at run-to-completion
-  /// parity without sacrificing the saturation wins (bench sweep).
-  double splice_misfit_drain = 0.75;
+  /// Throws std::invalid_argument on a configuration no run can serve.
+  void validate() const;
 };
 
 /// Everything one pipeline run produced. Analytical runs leave `responses`
@@ -170,17 +144,12 @@ class ServingPipeline {
   /// Runs the whole trace to completion (every request served or expired).
   /// `trace` must be sorted by arrival. Throughput is normalized by
   /// max(makespan, trace duration).
+  /// The earliest worker event (an idle worker forming a batch, or a live
+  /// batch finishing an iteration) is processed next, with deterministic
+  /// first-index tie-breaking.
   [[nodiscard]] PipelineResult run(const std::vector<Request>& trace) const;
 
  private:
-  /// The continuous-mode driver (PipelineConfig::continuous); run()
-  /// dispatches here. Event-driven over per-worker live batches: the
-  /// earliest pending event (a step completing, or an idle worker forming a
-  /// new batch) is processed next, with deterministic first-index
-  /// tie-breaking.
-  [[nodiscard]] PipelineResult run_continuous(
-      const std::vector<Request>& trace) const;
-
   const Scheduler& scheduler_;
   const ExecutionBackend& backend_;
   const Clock& clock_;

@@ -1,33 +1,17 @@
 #include "serving/simulator.hpp"
 
-#include <stdexcept>
-
 namespace tcb {
 
 ServingSimulator::ServingSimulator(const Scheduler& scheduler,
-                                   const CostModel& cost, SimulatorConfig cfg)
+                                   const CostModel& cost, PipelineConfig cfg)
     : scheduler_(scheduler), cost_(cost), cfg_(cfg) {
-  // Validate eagerly (the pipeline would too) so misconfiguration surfaces
-  // at construction, not first run.
-  if (cfg_.scheme == Scheme::kConcatSlotted && cfg_.fixed_slot_len < 0)
-    throw std::invalid_argument("ServingSimulator: negative fixed_slot_len");
-  if (cfg_.workers == 0)
-    throw std::invalid_argument("ServingSimulator: need >= 1 worker");
+  cfg_.validate();
 }
 
 ServingReport ServingSimulator::run(const std::vector<Request>& trace) const {
   const AnalyticalBackend backend(cost_);
   const WallClock clock;
-  PipelineConfig cfg;
-  cfg.scheme = cfg_.scheme;
-  cfg.fixed_slot_len = cfg_.fixed_slot_len;
-  cfg.workers = cfg_.workers;
-  cfg.max_batches = cfg_.max_batches;
-  cfg.continuous = cfg_.continuous;
-  cfg.splice_min_fill = cfg_.splice_min_fill;
-  cfg.splice_horizon_steps = cfg_.splice_horizon_steps;
-  cfg.splice_misfit_drain = cfg_.splice_misfit_drain;
-  const ServingPipeline pipeline(scheduler_, backend, clock, cfg);
+  const ServingPipeline pipeline(scheduler_, backend, clock, cfg_);
   return pipeline.run(trace).report;
 }
 

@@ -15,37 +15,12 @@
 
 namespace tcb {
 
-/// How the simulator builds batches: the scheme decides which Batcher runs;
-/// for the slotted scheme the slot length comes from the scheduler's
-/// Selection (Slotted-DAS) or falls back to `fixed_slot_len`.
-struct SimulatorConfig {
-  Scheme scheme = Scheme::kConcatPure;
-  Index fixed_slot_len = 0;  ///< used when the scheduler does not choose one
-
-  /// Number of accelerators sharing the pending queue. The paper evaluates a
-  /// single V100; >1 models the natural scale-out deployment (each idle
-  /// worker pulls the next scheduler selection).
-  std::size_t workers = 1;
-
-  /// Safety valve: stop after this many batches (0 = unlimited). A correctly
-  /// configured run never hits it.
-  std::size_t max_batches = 0;
-
-  /// Continuous (iteration-level) batching: price each decode iteration
-  /// separately, retire modeled tracks as they finish, and splice pending
-  /// requests into the vacated slots mid-batch (DESIGN.md §15).
-  bool continuous = false;
-
-  /// Continuous mode tuning — see the matching PipelineConfig fields.
-  double splice_min_fill = 0.6;
-  std::size_t splice_horizon_steps = 0;
-  double splice_misfit_drain = 0.75;
-};
-
 class ServingSimulator {
  public:
+  /// Validates `cfg` eagerly (PipelineConfig::validate), so
+  /// misconfiguration surfaces at construction, not first run.
   ServingSimulator(const Scheduler& scheduler, const CostModel& cost,
-                   SimulatorConfig cfg);
+                   PipelineConfig cfg);
 
   /// Runs the whole trace to completion (every request served or expired).
   /// `trace` must be sorted by arrival. Throughput is normalized by
@@ -55,7 +30,7 @@ class ServingSimulator {
  private:
   const Scheduler& scheduler_;
   const CostModel& cost_;
-  SimulatorConfig cfg_;
+  PipelineConfig cfg_;
 };
 
 }  // namespace tcb

@@ -109,14 +109,6 @@ void layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   }
 }
 
-void gelu_inplace(Tensor& t) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (float& v : t.data()) {
-    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(inner));
-  }
-}
-
 void relu_inplace(Tensor& t) {
   for (float& v : t.data())
     if (v < 0.0f) v = 0.0f;

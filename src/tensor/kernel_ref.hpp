@@ -32,9 +32,6 @@ void softmax_rows_inplace(Tensor& t) TCB_REASSOC;
 void layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                 float eps, Tensor& y) TCB_REASSOC;
 
-/// Elementwise tanh-approximation GELU.
-void gelu_inplace(Tensor& t) TCB_REASSOC;
-
 /// Elementwise ReLU.
 void relu_inplace(Tensor& t) TCB_REASSOC;
 

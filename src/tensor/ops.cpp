@@ -130,24 +130,6 @@ void relu_inplace(Tensor& t) {
       kElementwiseGrain);
 }
 
-void gelu_inplace(Tensor& t) {
-  // tanhf stays scalar (a vector tanh approximation would drift from the
-  // reference); the win here is the parallel split over the d_ff-wide
-  // activations, the largest elementwise tensor in the model.
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  float* pt = t.raw();
-  parallel_for(
-      t.data().size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const float v = pt[i];
-          const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-          pt[i] = 0.5f * v * (1.0f + std::tanh(inner));
-        }
-      },
-      kElementwiseGrain);
-}
-
 std::vector<Index> argmax_rows(const Tensor& t) {
   require(t.rank() == 2, "argmax_rows: rank-2 required");
   const Index m = t.dim(0), n = t.dim(1);

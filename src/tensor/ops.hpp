@@ -73,9 +73,6 @@ void layer_norm(const float* x, Index m, const Tensor& gamma,
 /// Elementwise ReLU in place.
 void relu_inplace(Tensor& t) TCB_BITWISE;
 
-/// Elementwise tanh-approximation GELU in place (the variant used by BERT).
-void gelu_inplace(Tensor& t) TCB_BITWISE;
-
 /// argmax over the last dimension of a (m,n) tensor; returns m indices.
 [[nodiscard]] std::vector<Index> argmax_rows(const Tensor& t);
 

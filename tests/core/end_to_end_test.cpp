@@ -40,7 +40,7 @@ TEST_P(ServingSweepTest, InvariantsHoldAcrossTheGrid) {
   const auto sched = make_scheduler(p.scheduler, sc);
   const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                  HardwareProfile::v100_like());
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = p.scheme;
   sim.fixed_slot_len = 50;
   const auto report = ServingSimulator(*sched, cost, sim).run(trace);
@@ -85,7 +85,7 @@ TEST(PaperClaimsTest, ConcatSustainsHigherLoadThanBaselines) {
                                  HardwareProfile::v100_like());
 
   auto run = [&](Scheme scheme) {
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = scheme;
     return ServingSimulator(*das, cost, sim).run(trace);
   };
@@ -113,7 +113,7 @@ TEST(PaperClaimsTest, DasBeatsBaselineSchedulersOnUtility) {
 
   auto run = [&](const std::string& name) {
     const auto sched = make_scheduler(name, sc);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = Scheme::kConcatPure;
     return ServingSimulator(*sched, cost, sim).run(trace).total_utility;
   };

@@ -2,6 +2,8 @@
 // failed cleanly — never crash, hang, or corrupt other requests' results.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/tcb.hpp"
 #include "sched/factory.hpp"
 #include "serving/simulator.hpp"
@@ -78,6 +80,64 @@ TEST(FailureInjectionTest, TokenLengthMismatchRejectedUpFront) {
   EXPECT_THROW((void)tcb.serve({bad}), std::invalid_argument);
 }
 
+/// Forwards to a real backend, counting the batches that reached it.
+class CountingBackend final : public ExecutionBackend {
+ public:
+  explicit CountingBackend(const ExecutionBackend& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] double batch_seconds(const BatchPlan& plan) const override {
+    return inner_.batch_seconds(plan);
+  }
+  [[nodiscard]] BatchExecution execute(const BatchWork& work) const override {
+    ++batches_;
+    return inner_.execute(work);
+  }
+  [[nodiscard]] std::unique_ptr<SteppedExecution> begin_stepped(
+      const BatchWork& work) const override {
+    ++batches_;
+    return inner_.begin_stepped(work);
+  }
+  void validate_trace(const std::vector<Request>& trace) const override {
+    inner_.validate_trace(trace);
+  }
+  [[nodiscard]] std::size_t batches() const { return batches_; }
+
+ private:
+  const ExecutionBackend& inner_;
+  mutable std::size_t batches_ = 0;  // one worker: never offloaded
+};
+
+TEST(FailureInjectionTest, OutOfVocabTokenRejectedBeforeAnyBatch) {
+  const ModelConfig model_cfg = ModelConfig::test_scale();
+  const auto model = std::make_shared<const Seq2SeqModel>(model_cfg);
+  const AnalyticalCostModel pricing(model_cfg, HardwareProfile::v100_like());
+  const EngineBackend engine(model, pricing, InferenceOptions{});
+  SchedulerConfig sc;
+  sc.batch_rows = 4;
+  sc.row_capacity = 24;
+  const auto das = make_scheduler("das", sc);
+  const VirtualClock clock;
+
+  for (const Index bad : {Index{-1}, model_cfg.vocab_size}) {
+    for (const bool continuous : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "token " << bad << (continuous ? " continuous" : " rtc"));
+      std::vector<Request> trace = {
+          token_request(0, 5, 0.0, 9.0, model_cfg.vocab_size),
+          token_request(1, 5, 0.0, 9.0, model_cfg.vocab_size),
+      };
+      trace[1].tokens.back() = bad;
+      const CountingBackend counting(engine);
+      PipelineConfig cfg;
+      cfg.continuous = continuous;
+      const ServingPipeline pipeline(*das, counting, clock, cfg);
+      EXPECT_THROW((void)pipeline.run(trace), std::invalid_argument);
+      EXPECT_EQ(counting.batches(), 0u);
+    }
+  }
+}
+
 TEST(FailureInjectionTest, SimulatorHandlesDegenerateRequestsInBulk) {
   SchedulerConfig sc;
   sc.batch_rows = 8;
@@ -85,7 +145,7 @@ TEST(FailureInjectionTest, SimulatorHandlesDegenerateRequestsInBulk) {
   const auto das = make_scheduler("das", sc);
   const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                  HardwareProfile::v100_like());
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
 
   std::vector<Request> trace;

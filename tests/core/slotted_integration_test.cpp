@@ -22,7 +22,7 @@ TEST(SlottedIntegrationTest, SimulatorUsesSchedulerChosenSlotLen) {
   const auto sched = make_scheduler("slotted-das", sc);
   const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                  HardwareProfile::v100_like());
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatSlotted;
   sim.fixed_slot_len = 0;  // must come from the scheduler
   const auto report = ServingSimulator(*sched, cost, sim).run(trace);
@@ -46,12 +46,12 @@ TEST(SlottedIntegrationTest, SlottedSystemNeverServesFewerThanHalfOfPure) {
                                  HardwareProfile::v100_like());
 
   const auto das = make_scheduler("das", sc);
-  SimulatorConfig pure_sim;
+  PipelineConfig pure_sim;
   pure_sim.scheme = Scheme::kConcatPure;
   const auto pure = ServingSimulator(*das, cost, pure_sim).run(trace);
 
   const auto slotted_das = make_scheduler("slotted-das", sc);
-  SimulatorConfig slot_sim;
+  PipelineConfig slot_sim;
   slot_sim.scheme = Scheme::kConcatSlotted;
   const auto slotted =
       ServingSimulator(*slotted_das, cost, slot_sim).run(trace);

@@ -97,7 +97,7 @@ TEST(OfflineBoundTest, DominatesEverySimulatedSchedule) {
 
     for (const auto& name : {"das", "sjf", "fcfs", "def", "sjf-full"}) {
       const auto sched = make_scheduler(name, sc);
-      SimulatorConfig sim;
+      PipelineConfig sim;
       sim.scheme = Scheme::kConcatPure;
       const auto report = ServingSimulator(*sched, cost, sim).run(trace);
       EXPECT_LE(report.total_utility, bound * 1.0001)

@@ -46,7 +46,7 @@ class ContinuousSimulationTest : public ::testing::Test {
                     const char* scheduler = "slotted-das",
                     Scheme scheme = Scheme::kConcatSlotted) const {
     const auto sched = make_scheduler(scheduler, sched_cfg_);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = scheme;
     sim.continuous = continuous;
     const ServingSimulator simulator(*sched, cost_, sim);

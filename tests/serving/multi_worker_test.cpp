@@ -26,7 +26,7 @@ class MultiWorkerTest : public ::testing::Test {
     w.seed = seed;
     const auto trace = generate_trace(w);
     const auto das = make_scheduler("das", sched_cfg_);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = Scheme::kConcatPure;
     sim.workers = workers;
     return ServingSimulator(*das, cost_, sim).run(trace);
@@ -38,7 +38,7 @@ class MultiWorkerTest : public ::testing::Test {
 
 TEST_F(MultiWorkerTest, ZeroWorkersRejected) {
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.workers = 0;
   EXPECT_THROW(ServingSimulator(*das, cost_, sim), std::invalid_argument);
 }

@@ -306,7 +306,7 @@ TEST(PipelineEquivalenceTest, AnalyticalMatchesFrozenSimulatorOnFig09Fig10) {
       const ReferenceReport expected =
           reference_simulator_run(*das, cost, scheme, 0, trace);
 
-      SimulatorConfig sim;
+      PipelineConfig sim;
       sim.scheme = scheme;
       const ServingReport got = ServingSimulator(*das, cost, sim).run(trace);
 
@@ -334,7 +334,7 @@ TEST(PipelineEquivalenceTest, AnalyticalMatchesFrozenSimulatorSlottedDas) {
 
   const ReferenceReport expected = reference_simulator_run(
       *slotted, cost, Scheme::kConcatSlotted, 0, trace);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatSlotted;
   const ServingReport got = ServingSimulator(*slotted, cost, sim).run(trace);
 

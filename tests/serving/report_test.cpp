@@ -19,7 +19,7 @@ TEST(ServingReportTest, SummaryNamesSchedulerSchemeAndCounts) {
   const auto das = make_scheduler("das", sc);
   const AnalyticalCostModel cost(ModelConfig::paper_scale(),
                                  HardwareProfile::v100_like());
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const auto report = ServingSimulator(*das, cost, sim).run(trace);
 

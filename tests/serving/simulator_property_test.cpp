@@ -21,7 +21,7 @@ class SimulatorMetamorphicTest : public ::testing::Test {
     sc.batch_rows = rows;
     sc.row_capacity = L;
     const auto sched = make_scheduler(scheduler, sc);
-    SimulatorConfig sim;
+    PipelineConfig sim;
     sim.scheme = Scheme::kConcatPure;
     return ServingSimulator(*sched, cost_, sim).run(trace);
   }

@@ -36,7 +36,7 @@ class SimulatorTest : public ::testing::Test {
 TEST_F(SimulatorTest, ConservationOfRequests) {
   const auto trace = make_trace(100, 5.0, 1);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const ServingSimulator simulator(*das, cost_, sim);
   const auto report = simulator.run(trace);
@@ -48,7 +48,7 @@ TEST_F(SimulatorTest, ConservationOfRequests) {
 TEST_F(SimulatorTest, LowLoadServesEverything) {
   const auto trace = make_trace(5, 4.0, 2, /*slack_min=*/5.0, /*slack_max=*/9.0);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const ServingSimulator simulator(*das, cost_, sim);
   const auto report = simulator.run(trace);
@@ -59,7 +59,7 @@ TEST_F(SimulatorTest, LowLoadServesEverything) {
 TEST_F(SimulatorTest, UtilityMatchesServedRequests) {
   const auto trace = make_trace(20, 3.0, 3, 5.0, 9.0);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const ServingSimulator simulator(*das, cost_, sim);
   const auto report = simulator.run(trace);
@@ -72,7 +72,7 @@ TEST_F(SimulatorTest, UtilityMatchesServedRequests) {
 TEST_F(SimulatorTest, OverloadDropsRequestsButNeverCrashes) {
   const auto trace = make_trace(3000, 1.0, 4, 0.05, 0.2);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const ServingSimulator simulator(*das, cost_, sim);
   const auto report = simulator.run(trace);
@@ -86,7 +86,7 @@ TEST_F(SimulatorTest, AllSchemesAndSchedulersRun) {
                             Scheme::kConcatPure, Scheme::kConcatSlotted}) {
     for (const auto& name : scheduler_names()) {
       const auto sched = make_scheduler(name, sched_cfg_);
-      SimulatorConfig sim;
+      PipelineConfig sim;
       sim.scheme = scheme;
       sim.fixed_slot_len = 50;  // for slotted runs without Slotted-DAS
       const ServingSimulator simulator(*sched, cost_, sim);
@@ -103,9 +103,9 @@ TEST_F(SimulatorTest, ConcatBeatsNaiveUnderLoad) {
   // scheduler and overload, ConcatBatching completes more requests.
   const auto trace = make_trace(800, 3.0, 6, 0.3, 1.0);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig naive_sim;
+  PipelineConfig naive_sim;
   naive_sim.scheme = Scheme::kNaive;
-  SimulatorConfig concat_sim;
+  PipelineConfig concat_sim;
   concat_sim.scheme = Scheme::kConcatPure;
   const auto naive_report = ServingSimulator(*das, cost_, naive_sim).run(trace);
   const auto concat_report =
@@ -117,7 +117,7 @@ TEST_F(SimulatorTest, ConcatBeatsNaiveUnderLoad) {
 TEST_F(SimulatorTest, ThroughputNormalizedBySimulationHorizon) {
   const auto trace = make_trace(50, 2.0, 7, 5.0, 9.0);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const auto report = ServingSimulator(*das, cost_, sim).run(trace);
   EXPECT_GT(report.makespan, 0.0);
@@ -129,7 +129,7 @@ TEST_F(SimulatorTest, ThroughputNormalizedBySimulationHorizon) {
 
 TEST_F(SimulatorTest, EmptyTrace) {
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const auto report = ServingSimulator(*das, cost_, sim).run({});
   EXPECT_EQ(report.arrived, 0u);
@@ -140,7 +140,7 @@ TEST_F(SimulatorTest, EmptyTrace) {
 TEST_F(SimulatorTest, MaxBatchesSafetyValveStops) {
   const auto trace = make_trace(500, 2.0, 8);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   sim.max_batches = 2;
   const auto report = ServingSimulator(*das, cost_, sim).run(trace);
@@ -151,7 +151,7 @@ TEST_F(SimulatorTest, MaxBatchesSafetyValveStops) {
 TEST_F(SimulatorTest, SchedulerOverheadIsTracked) {
   const auto trace = make_trace(300, 2.0, 9);
   const auto das = make_scheduler("das", sched_cfg_);
-  SimulatorConfig sim;
+  PipelineConfig sim;
   sim.scheme = Scheme::kConcatPure;
   const auto report = ServingSimulator(*das, cost_, sim).run(trace);
   EXPECT_GT(report.scheduler_seconds, 0.0);

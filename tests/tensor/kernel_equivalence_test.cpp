@@ -106,20 +106,14 @@ TEST(KernelEquivalence, LayerNormMatchesReference) {
   }
 }
 
-TEST(KernelEquivalence, GeluAndReluMatchReference) {
+TEST(KernelEquivalence, ReluMatchesReference) {
   Rng rng(16);
   for (const Index n : kEdgeSizes) {
     Tensor fast = Tensor::random_uniform(Shape{5, n}, rng, 4.0f);
     Tensor slow = fast.clone();
-    gelu_inplace(fast);
-    ref::gelu_inplace(slow);
-    EXPECT_LE(max_abs_diff(fast, slow), kTol) << "gelu n=" << n;
-
-    Tensor rfast = Tensor::random_uniform(Shape{5, n}, rng, 4.0f);
-    Tensor rslow = rfast.clone();
-    relu_inplace(rfast);
-    ref::relu_inplace(rslow);
-    EXPECT_EQ(max_abs_diff(rfast, rslow), 0.0f) << "relu n=" << n;
+    relu_inplace(fast);
+    ref::relu_inplace(slow);
+    EXPECT_EQ(max_abs_diff(fast, slow), 0.0f) << "n=" << n;
   }
 }
 
