@@ -33,6 +33,29 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
+/// Decode-shaped GEMMs: a slice of m tracks through the default model's
+/// projections (k = d_model = 128; n = 128 for Q/K/V/O, 512 for the FFN
+/// up-projection, 1024 for the logits). These shapes route to the in-place
+/// tiled path; the sweep is what gemm.cpp's blocked-path threshold was
+/// picked from.
+void BM_MatmulDecode(benchmark::State& state) {
+  const Index m = state.range(0);
+  const Index n = state.range(1);
+  constexpr Index k = 128;
+  Rng rng(3);
+  const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
+  const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
+  Tensor c;
+  for (auto _ : state) {
+    matmul(a, b, c);
+    benchmark::DoNotOptimize(c.raw());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_MatmulDecode)
+    ->ArgsProduct({{1, 4, 10, 20, 40}, {128, 512, 1024}})
+    ->ArgNames({"m", "n"});
+
 void BM_MatmulRef(benchmark::State& state) {
   const Index n = state.range(0);
   Rng rng(1);

@@ -100,6 +100,7 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
       tracks_.push_back(std::move(t));
     }
   }
+  active_tracks_ = tracks_.size();
   if (tracks_.empty()) return;
 
   {
@@ -176,10 +177,7 @@ void DecodeSession::reserve_track(std::size_t t) {
 
 DecodeSession::~DecodeSession() = default;
 
-bool DecodeSession::done() const noexcept {
-  return std::all_of(tracks_.begin(), tracks_.end(),
-                     [](const DecodeTrack& t) { return t.finished; });
-}
+bool DecodeSession::done() const noexcept { return active_tracks_ == 0; }
 
 Index DecodeSession::step_cap(const DecodeTrack& t) const noexcept {
   return opts_.cap_at_source_length ? std::min(max_steps_, t.src_len)
@@ -479,6 +477,7 @@ DecodeStepOutcome DecodeSession::step() {
     if (token == kEosToken ||
         static_cast<Index>(track.emitted.size()) >= step_cap(track)) {
       track.finished = true;
+      active_tracks_ -= 1;
       outcome.finished.push_back(track.request_id);
       // The track's caches stop growing now: these bytes are what an ideal
       // per-request cleaner could reclaim from here on, whether or not the
@@ -528,6 +527,7 @@ void DecodeSession::release_group_kv(Group& group) {
 
 void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
   tracks_.push_back(std::move(track));
+  active_tracks_ += 1;
   group_of_.push_back(group_index);
   groups_[group_index].members.push_back(tracks_.size() - 1);
   for (auto& st : states_) {
@@ -603,33 +603,39 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
   enc_opts.mode = AttentionMode::kPureConcat;
   enc_opts.separate_positional_encoding = opts_.separate_positional_encoding;
   enc_opts.mask_policy = opts_.mask_policy;
-  const EncoderMemory mini_mem =
-      model_.encode(pack_batch(mini, reqs), enc_opts);
-  TCB_CHECK(mini_mem.width.value() == total_len,
-            "splice: mini-encode width mismatch");
+  const PackedBatch packed = pack_batch(mini, reqs);
 
-  // Overwrite the vacated span's encoder states and per-layer cross K/V.
-  // Stale columns beyond total_len are never read: cross-attention walks
-  // exactly each track's [src_offset, src_offset + src_len).
-  const ModelConfig& cfg = model_.config();
-  const std::size_t d = static_cast<std::size_t>(cfg.d_model);
-  const std::size_t dest_base =
-      flat_offset(row, begin, memory_.width);
-  for (Index c = 0; c < total_len; ++c) {
-    std::memcpy(memory_.states.row(static_cast<Index>(dest_base) + c),
-                mini_mem.states.row(c), d * sizeof(float));
-  }
-  const auto& layers = model_.decoder_layers();
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const Tensor ck = layers[l].cross_attn().wk().forward(mini_mem.states);
-    const Tensor cv = layers[l].cross_attn().wv().forward(mini_mem.states);
+  // The mini-encode and the cross-K/V projections run as one region on this
+  // thread: a single-chunk parallel_for runs every op they nest inline. A
+  // splice is a few dozen rows, where each op's own fork-join costs more
+  // than its split saves (DESIGN.md §15). Numerics are unchanged — every
+  // kernel keeps its per-row chain however it is split.
+  parallel_for(1, [&](std::size_t, std::size_t) {
+    const EncoderMemory mini_mem = model_.encode(packed, enc_opts);
+    TCB_CHECK(mini_mem.width.value() == total_len,
+              "splice: mini-encode width mismatch");
+
+    // Overwrite the vacated span's encoder states and per-layer cross K/V.
+    // Stale columns beyond total_len are never read: cross-attention walks
+    // exactly each track's [src_offset, src_offset + src_len).
+    const std::size_t d = static_cast<std::size_t>(model_.config().d_model);
+    const std::size_t dest_base = flat_offset(row, begin, memory_.width);
     for (Index c = 0; c < total_len; ++c) {
-      std::memcpy(states_[l].cross_k.row(static_cast<Index>(dest_base) + c),
-                  ck.row(c), d * sizeof(float));
-      std::memcpy(states_[l].cross_v.row(static_cast<Index>(dest_base) + c),
-                  cv.row(c), d * sizeof(float));
+      std::memcpy(memory_.states.row(static_cast<Index>(dest_base) + c),
+                  mini_mem.states.row(c), d * sizeof(float));
     }
-  }
+    const auto& layers = model_.decoder_layers();
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      const Tensor ck = layers[l].cross_attn().wk().forward(mini_mem.states);
+      const Tensor cv = layers[l].cross_attn().wv().forward(mini_mem.states);
+      for (Index c = 0; c < total_len; ++c) {
+        std::memcpy(states_[l].cross_k.row(static_cast<Index>(dest_base) + c),
+                    ck.row(c), d * sizeof(float));
+        std::memcpy(states_[l].cross_v.row(static_cast<Index>(dest_base) + c),
+                    cv.row(c), d * sizeof(float));
+      }
+    }
+  });
 
   // Admit one fresh track per request; together they form a new group over
   // the span, so their self-attention group is exactly the spliced cohort.

@@ -296,6 +296,7 @@ class DecodeSession {
   std::vector<Index> next_token_;         ///< per track, written by slices
   std::vector<float> logits_;             ///< (order_.size(), vocab)
   std::vector<SampleScratch> sample_scratch_;  ///< one per slice (kTopK)
+  std::size_t active_tracks_ = 0;  ///< tracks not yet finished; done() at 0
   std::size_t cur_kv_bytes_ = 0;
   Index step_count_ = 0;
   DecodeResult result_;

@@ -1,8 +1,18 @@
-// Cache-blocked, register-tiled GEMM (matmul / matmul_nt).
+// GEMM (matmul / matmul_nt): three paths, routed by shape.
 //
-// Layout follows the classic GotoBLAS/BLIS decomposition, sized for the
-// shapes this engine actually runs (m up to a few thousand, k/n up to a few
-// thousand):
+//   in-place tiled   matmul with m < kGemmBlockedMinRows (ops.hpp), or
+//                    n < NR, or k < 8: every decode slice and splice
+//                    encode. An MR x (NV * lanes) block of C lives in
+//                    vector registers while k is walked in order; each
+//                    depth loads B's row segment once and FMAs the
+//                    broadcast a[r][p] into every row. Nothing is packed.
+//   packed, blocked  matmul from kGemmBlockedMinRows rows, matmul_nt from
+//                    2 * MR rows (n >= NR, k >= 8): the classic
+//                    GotoBLAS/BLIS decomposition below.
+//   dot products     matmul_nt below that: one simd::dot per element.
+//
+// The blocked path, sized for the encoder's shapes (m up to a few
+// thousand, k/n up to a few thousand):
 //
 //   for each kc-block of K (blk.kc depths):           L2-resident B slab
 //     pack B[kc, n] into NR-column panels (Bp)
@@ -21,28 +31,36 @@
 // Scratch (the packed Ap/Bp panels and the C tile) lives in the per-thread
 // Workspace arena (tensor/workspace.hpp) instead of per-call std::vectors:
 // after the first call warms the arenas, repeated GEMMs perform zero heap
-// allocations.
+// allocations. The tiled path needs no scratch at all.
+//
+// Routing: kGemmBlockedMinRows is the crossover BM_MatmulDecode measured
+// (EXPERIMENTS.md): below it, reading B once per MR rows from cache beats
+// packing B on every call. It is a fixed constant — no option, environment
+// variable or tuning moves it — so a shape routes the same on every host.
 //
 // Numerical contract: every C element of matmul is ONE fused-multiply-add
 // chain in ascending k order over the whole depth, starting from 0 (lanes
 // are distinct output columns, rows are distinct accumulators), and the zero
-// padding contributes exact 0.0f. A kc-block after the first loads the C
-// tile back into the accumulators and continues the chain, so the split
-// into k-blocks is invisible. This holds for EVERY microkernel variant and
-// EVERY kc — changing MR/NR only moves an element between registers, never
-// reorders its chain — and the small-m fast path below (simd::axpy, FMA in
-// every lane and in the tail) produces the identical chain. So a row of C
-// is bitwise the same whatever other rows share the call, whichever path
-// or blocking the shape routes to, for every k: batched and single-request
-// runs of a layer agree, and so does a decode step sliced across workers
-// (the property the concat-vs-single equivalence suites rely on). matmul_nt's
-// small path reduces per-lane dot products instead and is not part of this
-// contract. The scalar reference (tcb::ref::matmul) reassociates
+// padding contributes exact 0.0f. The tiles build that chain directly, in
+// every row remainder and column tail. In the blocked path a kc-block after
+// the first loads the C tile back into the accumulators and continues the
+// chain, so the split into k-blocks is invisible. This holds for EVERY tile,
+// microkernel variant and kc — changing MR/NR only moves an element between
+// registers, never reorders its chain — and it is the chain simd::axpy
+// builds for one row. So a row of C is bitwise the same whatever other rows
+// share the call, whichever path or blocking the shape routes to, for every
+// k: batched and single-request runs of a layer agree, and so does a decode
+// step sliced across workers (the property the concat-vs-single equivalence
+// suites rely on; tests/tensor/gemm_invariance_test.cpp pins it). matmul_nt's
+// dot-product path reduces per-lane partial sums instead and is not part of
+// this contract. The scalar reference (tcb::ref::matmul) reassociates
 // differently and is compared under tolerance instead.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -198,6 +216,219 @@ constexpr int kDefaultKernel = 0;
 constexpr Index kMr = kMicroKernels[kDefaultKernel].mr;
 constexpr Index kNr = kMicroKernels[kDefaultKernel].nr;
 
+// --- in-place tile kernels (the short-matrix path) --------------------------
+//
+// tile<MR, NV> computes an MR x (NV * kTileLanes) block of C = A·B straight
+// from A (row stride k) and B and C (row stride n): per depth p it loads B's
+// row segment once, broadcasts each a[r][p] and FMAs it into row r's
+// accumulators, which start at 0. So every C element is one FMA chain in
+// ascending k — the chain simd::axpy builds for one row at a time and the
+// blocked microkernels build — whatever rows share the tile. tile_tail<MR>
+// covers the last cols < kTileLanes columns with the same per-lane chain:
+// masked lanes on x86 and scalar std::fma on NEON (a fused multiply-add
+// rounds once whatever its width, so both equal simd::axpy's narrower
+// vector and scalar-fma tail), the same expression again in the scalar
+// build. No shape reaches a tile with rows or columns to clip.
+
+#if defined(TCB_SIMD_AVX512)
+
+// 6x64: 24 acc + 4 B + 1 bcast = 29 of 32 zmm. Six rows read each B
+// segment a third less often than four (BM_MatmulDecode, EXPERIMENTS.md).
+constexpr Index kTileLanes = 16;
+constexpr Index kTileMr = 6;
+constexpr Index kTileNv = 4;
+
+template <int MR, int NV>
+void tile(const float* a, const float* b, float* c, Index k, Index n,
+          Index /*cols*/) {
+  __m512 acc[MR][NV];
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
+  for (Index p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    __m512 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = _mm512_loadu_ps(brow + 16 * v);
+    for (int r = 0; r < MR; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * k + p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v)
+      _mm512_storeu_ps(c + r * n + 16 * v, acc[r][v]);
+}
+
+template <int MR>
+void tile_tail(const float* a, const float* b, float* c, Index k, Index n,
+               Index cols) {
+  const auto mask = static_cast<__mmask16>((1u << cols) - 1u);
+  __m512 acc[MR];
+  for (int r = 0; r < MR; ++r) acc[r] = _mm512_setzero_ps();
+  for (Index p = 0; p < k; ++p) {
+    const __m512 bv =
+        _mm512_maskz_loadu_ps(mask, b + static_cast<std::size_t>(p) * n);
+    for (int r = 0; r < MR; ++r)
+      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * k + p]), bv, acc[r]);
+  }
+  for (int r = 0; r < MR; ++r) _mm512_mask_storeu_ps(c + r * n, mask, acc[r]);
+}
+
+#elif defined(TCB_SIMD_AVX2)
+
+// 4x16: 8 acc + 2 B + 1 bcast = 11 of 16 ymm.
+constexpr Index kTileLanes = 8;
+constexpr Index kTileMr = 4;
+constexpr Index kTileNv = 2;
+
+template <int MR, int NV>
+void tile(const float* a, const float* b, float* c, Index k, Index n,
+          Index /*cols*/) {
+  __m256 acc[MR][NV];
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+  for (Index p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    __m256 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * k + p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v)
+      _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+}
+
+template <int MR>
+void tile_tail(const float* a, const float* b, float* c, Index k, Index n,
+               Index cols) {
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc[MR];
+  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
+  for (Index p = 0; p < k; ++p) {
+    const __m256 bv =
+        _mm256_maskload_ps(b + static_cast<std::size_t>(p) * n, mask);
+    for (int r = 0; r < MR; ++r)
+      acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * k + p]), bv, acc[r]);
+  }
+  for (int r = 0; r < MR; ++r) _mm256_maskstore_ps(c + r * n, mask, acc[r]);
+}
+
+#elif defined(TCB_SIMD_NEON)
+
+// 4x16: 16 acc + 4 B = 20 of 32 q registers.
+constexpr Index kTileLanes = 4;
+constexpr Index kTileMr = 4;
+constexpr Index kTileNv = 4;
+
+template <int MR, int NV>
+void tile(const float* a, const float* b, float* c, Index k, Index n,
+          Index /*cols*/) {
+  float32x4_t acc[MR][NV];
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = vdupq_n_f32(0.0f);
+  for (Index p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    float32x4_t bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = vld1q_f32(brow + 4 * v);
+    for (int r = 0; r < MR; ++r)
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = vfmaq_n_f32(acc[r][v], bv[v], a[r * k + p]);
+  }
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) vst1q_f32(c + r * n + 4 * v, acc[r][v]);
+}
+
+template <int MR>
+void tile_tail(const float* a, const float* b, float* c, Index k, Index n,
+               Index cols) {
+  float acc[MR][kTileLanes] = {};
+  for (Index p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    for (int r = 0; r < MR; ++r)
+      for (Index j = 0; j < cols; ++j)
+        acc[r][j] = std::fma(a[r * k + p], brow[j], acc[r][j]);
+  }
+  for (int r = 0; r < MR; ++r)
+    for (Index j = 0; j < cols; ++j) c[r * n + j] = acc[r][j];
+}
+
+#else
+
+/// Scalar fallback: NV counts 8-wide column groups for the autovectorizer.
+/// `acc += av * b` is simd::axpy's scalar expression, and TCB_SIMD=OFF
+/// builds with -ffp-contract=off, so both round the multiply and the add
+/// separately wherever they are inlined.
+constexpr Index kTileLanes = 8;
+constexpr Index kTileMr = 4;
+constexpr Index kTileNv = 1;
+
+template <int MR>
+void tile_tail(const float* a, const float* b, float* c, Index k, Index n,
+               Index cols) {
+  float acc[MR][kTileLanes] = {};
+  for (Index p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    for (int r = 0; r < MR; ++r) {
+      const float av = a[r * k + p];
+      for (Index j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
+    }
+  }
+  for (int r = 0; r < MR; ++r)
+    for (Index j = 0; j < cols; ++j) c[r * n + j] = acc[r][j];
+}
+
+template <int MR, int NV>
+void tile(const float* a, const float* b, float* c, Index k, Index n,
+          Index /*cols*/) {
+  tile_tail<MR>(a, b, c, k, n, NV * kTileLanes);
+}
+
+#endif
+
+constexpr Index kTileNc = kTileNv * kTileLanes;
+
+using TileFn = void (*)(const float* a, const float* b, float* c, Index k,
+                        Index n, Index cols);
+
+template <int MR, std::size_t... V>
+constexpr std::array<TileFn, kTileNv> tile_row(std::index_sequence<V...>) {
+  return {&tile<MR, static_cast<int>(V) + 1>...};
+}
+
+template <std::size_t... R>
+constexpr std::array<std::array<TileFn, kTileNv>, kTileMr> tile_table(
+    std::index_sequence<R...>) {
+  return {tile_row<static_cast<int>(R) + 1>(
+      std::make_index_sequence<kTileNv>{})...};
+}
+
+template <std::size_t... R>
+constexpr std::array<TileFn, kTileMr> tail_table(std::index_sequence<R...>) {
+  return {&tile_tail<static_cast<int>(R) + 1>...};
+}
+
+/// kTiles[rows - 1][vectors - 1] / kTileTails[rows - 1].
+constexpr auto kTiles = tile_table(std::make_index_sequence<kTileMr>{});
+constexpr auto kTileTails = tail_table(std::make_index_sequence<kTileMr>{});
+
+/// One rows x cols block of C (rows <= kTileMr, cols <= kTileNc): whole
+/// vectors through one tile, the sub-vector rest through the tail tile.
+void tile_block(const float* a, const float* b, float* c, Index k, Index n,
+                Index rows, Index cols) TCB_BITWISE {
+  const Index nv = cols / kTileLanes;
+  const Index tail = cols - nv * kTileLanes;
+  const auto r = static_cast<std::size_t>(rows - 1);
+  if (nv > 0) kTiles[r][static_cast<std::size_t>(nv - 1)](a, b, c, k, n, 0);
+  if (tail > 0)
+    kTileTails[r](a, b + nv * kTileLanes, c + nv * kTileLanes, k, n, tail);
+}
+
 /// Packs B[k0:k0+kc, 0:n] (row-major, leading dim n) into nr-column panels:
 /// panel jp holds kc rows of nr floats, zero-padded past column n. `bp` is
 /// raw workspace memory, so padding is written explicitly.
@@ -331,25 +562,49 @@ void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
   }
 }
 
-/// Row-streaming path for short matrices (decode steps, tiny test shapes):
-/// per row, C_row = sum_p a[p] * B_row(p) via SIMD axpy (matmul) or per
-/// element dots (matmul_nt). No packing, so nothing to amortize.
-void gemm_small_nn(const float* pa, const float* pb, float* pc, Index m,
-                   Index k, Index n) TCB_BITWISE {
-  parallel_for(
-      static_cast<std::size_t>(m),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          float* crow = pc + i * static_cast<std::size_t>(n);
-          for (Index j = 0; j < n; ++j) crow[j] = 0.0f;
-          const float* arow = pa + i * static_cast<std::size_t>(k);
-          for (Index p = 0; p < k; ++p)
-            simd::axpy(arow[p], pb + static_cast<std::size_t>(p) * n, crow, n);
-        }
-      },
-      gemm_grain(m, n, k));
+/// Tiles per parallel chunk for the tiled path. A pool fork-join costs
+/// about as much as a few hundred thousand multiply-adds, so a chunk must
+/// carry at least kTiledMinMadds or a decode-sized product is faster run
+/// inline on the calling thread; above that, gemm_grain's fan-out ceiling.
+std::size_t tiled_grain(Index tiles, Index k) {
+  constexpr Index kTiledMinMadds = Index{1} << 20;
+  const Index per_tile = kTileMr * kTileNc * k;
+  const auto floor =
+      static_cast<std::size_t>((kTiledMinMadds + per_tile - 1) / per_tile);
+  return std::max(floor, gemm_grain(tiles, kTileMr * kTileNc, k));
 }
 
+/// Register-tiled path for short matrices (decode slices, splice encodes):
+/// C = A·B with A and B read where they lie — no packing, so nothing to
+/// amortize. Tiles are enumerated column block by column block, so a chunk
+/// of consecutive tiles runs every row block of A against one B panel while
+/// that panel is cache-resident: B is read once per row block instead of
+/// once per row.
+void gemm_tiled_nn(const float* pa, const float* pb, float* pc, Index m,
+                   Index k, Index n) TCB_BITWISE {
+  const Index row_blocks = (m + kTileMr - 1) / kTileMr;
+  const Index col_blocks = (n + kTileNc - 1) / kTileNc;
+  parallel_for(
+      static_cast<std::size_t>(row_blocks * col_blocks),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const Index i0 = static_cast<Index>(t) % row_blocks * kTileMr;
+          const Index j0 = static_cast<Index>(t) / row_blocks * kTileNc;
+          tile_block(pa + static_cast<std::size_t>(i0) *
+                              static_cast<std::size_t>(k),
+                     pb + j0,
+                     pc + static_cast<std::size_t>(i0) *
+                              static_cast<std::size_t>(n) +
+                         j0,
+                     k, n, std::min(kTileMr, m - i0),
+                     std::min(kTileNc, n - j0));
+        }
+      },
+      tiled_grain(row_blocks * col_blocks, k));
+}
+
+/// Dot-product path for short matmul_nt products: one simd::dot per
+/// element, nothing packed.
 void gemm_small_nt(const float* pa, const float* pb, float* pc, Index m,
                    Index k, Index n) TCB_BITWISE {
   parallel_for(
@@ -365,11 +620,13 @@ void gemm_small_nt(const float* pa, const float* pb, float* pc, Index m,
       gemm_grain(m, n, k));
 }
 
-/// The blocked path needs enough rows to amortize packing B (one sweep over
-/// k*n) and enough columns for full vector panels. Thresholds use the
-/// ISA-default tile so the routing decision is independent of tuning.
-bool use_blocked(Index m, Index n, Index k) {
-  return m >= 2 * kMr && n >= kNr && k >= 8;
+/// The blocked path needs at least `min_rows` rows to amortize packing B
+/// (one sweep over k*n) and enough columns for full vector panels. matmul
+/// passes kGemmBlockedMinRows; matmul_nt, whose dot-product path stops
+/// paying off sooner, passes two ISA-default microkernel heights, so the
+/// decision is independent of tuning either way.
+bool use_blocked(Index m, Index n, Index k, Index min_rows) {
+  return m >= min_rows && n >= kNr && k >= 8;
 }
 
 }  // namespace
@@ -444,11 +701,11 @@ void matmul(const float* a, const float* b, float* c, Index m, Index k,
               0.0f);
     return;
   }
-  if (use_blocked(m, n, k))
+  if (use_blocked(m, n, k, kGemmBlockedMinRows))
     gemm_blocked(a, b, c, m, k, n, /*transposed_b=*/false,
                  select_blocking(classify_gemm(m, n)));
   else
-    gemm_small_nn(a, b, c, m, k, n);
+    gemm_tiled_nn(a, b, c, m, k, n);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -467,7 +724,7 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
     c.fill(0.0f);
     return;
   }
-  if (use_blocked(m, n, k))
+  if (use_blocked(m, n, k, 2 * kMr))
     gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/true,
                  select_blocking(classify_gemm(m, n)));
   else

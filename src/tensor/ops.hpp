@@ -4,10 +4,10 @@
 // chosen so small problems (single decode step) stay single-threaded, and
 // vectorized through src/tensor/simd.hpp (AVX-512 / AVX2 / NEON, scalar when
 // TCB_SIMD=OFF). The GEMM (src/tensor/gemm.cpp) is cache-blocked with packed
-// operand panels and a register-tiled microkernel; short matrices take an
-// unpacked row-streaming path instead. The original naive loops survive as
-// tcb::ref::* (tensor/kernel_ref.hpp) and the equivalence suite pins the
-// fast kernels to them.
+// operand panels and a register-tiled microkernel; short matrices take a
+// register-tiled path that reads both operands in place instead. The
+// original naive loops survive as tcb::ref::* (tensor/kernel_ref.hpp) and
+// the equivalence suite pins the fast kernels to them.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +28,12 @@ inline constexpr float kMaskedOut = -1e30f;
 /// identical whatever other rows ride in the same call.
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) TCB_BITWISE;
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b) TCB_BITWISE;
+
+/// Rows from which matmul takes the packed, cache-blocked path (when n and k
+/// are large enough for full panels); shorter products — every decode slice
+/// and splice encode — run the in-place register-tiled path. A fixed
+/// constant, picked from bench/micro_kernels' BM_MatmulDecode sweep.
+inline constexpr Index kGemmBlockedMinRows = 64;
 
 /// Raw-pointer form for rows held in scratch memory (a Workspace arena):
 /// c(m,n) = a(m,k) * b(k,n), all dense row-major, c fully overwritten. Same

@@ -7,10 +7,11 @@
 // and without mid-batch splices.
 //
 // ctest runs this binary twice, with TCB_THREADS=1 (one slice holding every
-// track: blocked GEMMs over all rows, k = 512 past one k-block) and with
-// TCB_THREADS=4 (several slices of a few rows: the row-streaming GEMM path).
-// A solo decode is a single slice of one row either way, so both runs
-// matching it is the 1-thread == 4-thread equivalence.
+// track, so every tiled GEMM spans all rows) and with TCB_THREADS=4 (several
+// slices of a few rows each). A solo decode is a single slice of one row
+// either way, so both runs matching it is the 1-thread == 4-thread
+// equivalence. The batched encodes take the blocked GEMM path and the solo
+// encodes the tiled one, so the match also crosses the two paths.
 //
 // The binary also replaces the global operator new with a counting one to
 // pin the allocation-free property: after warm-up, a step makes no heap

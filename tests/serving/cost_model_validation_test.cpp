@@ -7,6 +7,10 @@
 // *ordering* is what the serving simulations rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "batching/concat_batcher.hpp"
 #include "batching/naive_batcher.hpp"
 #include "batching/slotted_batcher.hpp"
@@ -54,15 +58,22 @@ class CostModelValidationTest : public ::testing::Test {
     return hw;
   }
 
-  double measure_median(const BatchPlan& plan) {
-    // Median of 3 to de-noise scheduling jitter.
-    double a = measured_.batch_seconds(plan);
-    double b = measured_.batch_seconds(plan);
-    double c = measured_.batch_seconds(plan);
-    if (a > b) std::swap(a, b);
-    if (b > c) std::swap(b, c);
-    if (a > b) std::swap(a, b);
-    return b;
+  /// Engine wall-clock seconds of two plans, sampled interleaved (a, b, a,
+  /// b, ...) and reduced by min-of-N. A disturbance — a sibling process, a
+  /// descheduled thread — then inflates single samples of either plan
+  /// rather than a back-to-back run of one plan, and the minimum is each
+  /// plan's least disturbed run: the closest a shared machine gets to its
+  /// true cost.
+  std::pair<double, double> measure_min_pair(const BatchPlan& a,
+                                             const BatchPlan& b) {
+    constexpr int kSamples = 7;
+    double best_a = std::numeric_limits<double>::infinity();
+    double best_b = best_a;
+    for (int i = 0; i < kSamples; ++i) {
+      best_a = std::min(best_a, measured_.batch_seconds(a));
+      best_b = std::min(best_b, measured_.batch_seconds(b));
+    }
+    return {best_a, best_b};
   }
 
   std::shared_ptr<const Seq2SeqModel> engine_;
@@ -74,7 +85,8 @@ TEST_F(CostModelValidationTest, RowScalingAgreesWithEngine) {
   const ConcatBatcher batcher;
   const auto small = batcher.build(uniform_requests(4, 16), Row{1}, Col{64}).plan;
   const auto large = batcher.build(uniform_requests(16, 16), Row{4}, Col{64}).plan;
-  EXPECT_LT(measure_median(small), measure_median(large));
+  const auto [engine_small, engine_large] = measure_min_pair(small, large);
+  EXPECT_LT(engine_small, engine_large);
   EXPECT_LT(analytical_.batch_seconds(small), analytical_.batch_seconds(large));
 }
 
@@ -86,8 +98,7 @@ TEST_F(CostModelValidationTest, SlottedVsPureOrderingAgreesWithEngine) {
   const auto slot_plan = slotted.build(reqs, Row{3}, Col{128}).plan;
   ASSERT_EQ(pure_plan.request_count(), slot_plan.request_count());
 
-  const double engine_pure = measure_median(pure_plan);
-  const double engine_slot = measure_median(slot_plan);
+  const auto [engine_pure, engine_slot] = measure_min_pair(pure_plan, slot_plan);
   EXPECT_LT(engine_slot, engine_pure)
       << "real engine: slotted should be faster";
   EXPECT_LT(analytical_.batch_seconds(slot_plan),
@@ -98,7 +109,8 @@ TEST_F(CostModelValidationTest, WidthScalingAgreesWithEngine) {
   const ConcatBatcher batcher;
   const auto narrow = batcher.build(uniform_requests(8, 8), Row{2}, Col{32}).plan;
   const auto wide = batcher.build(uniform_requests(8, 24), Row{2}, Col{96}).plan;
-  EXPECT_LT(measure_median(narrow), measure_median(wide));
+  const auto [engine_narrow, engine_wide] = measure_min_pair(narrow, wide);
+  EXPECT_LT(engine_narrow, engine_wide);
   EXPECT_LT(analytical_.batch_seconds(narrow), analytical_.batch_seconds(wide));
 }
 

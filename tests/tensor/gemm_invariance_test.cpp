@@ -1,9 +1,10 @@
 // Batching invariance of matmul for every depth k (tensor/gemm.cpp's
 // numerical contract): a row of C must be bitwise the same whether it is
-// computed alone (the small-m row-streaming path) or alongside other rows
-// (the blocked path, any microkernel, any kc). The blocked path used to add
-// each later k-block's partial sum onto C, which split every element's FMA
-// chain once k > kc — so a 16-row FFN down-projection (k = d_ff = 512)
+// computed alone, alongside a few other rows (the in-place tiled path, any
+// row-block remainder, any column tail) or alongside many (the blocked path,
+// any microkernel, any kc). The blocked path used to add each later
+// k-block's partial sum onto C, which split every element's FMA chain once
+// k > kc — so a 16-row FFN down-projection (k = d_ff = 512)
 // disagreed with the same rows multiplied one at a time, and a decode step's
 // numerics depended on how its rows were sliced across workers.
 #include <gtest/gtest.h>
@@ -57,9 +58,11 @@ class GemmInvarianceTest : public ::testing::TestWithParam<const char*> {
 TEST_P(GemmInvarianceTest, BatchedRowsMatchSoloRowsPastOneKBlock) {
   Rng rng(5);
   // k = 512 is the default model's FFN down-projection; 700 ends on a
-  // partial block; 1024 spans several blocks at every candidate kc.
+  // partial block; 1024 spans several blocks at every candidate kc. m = 64
+  // and 100 route to the blocked path, the shorter ones to the tiles.
   for (const Index k : {Index{256}, Index{512}, Index{700}, Index{1024}}) {
-    for (const Index m : {Index{13}, Index{16}, Index{40}}) {
+    for (const Index m : {Index{13}, Index{16}, Index{40}, Index{64},
+                          Index{100}}) {
       const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
       const Tensor b = Tensor::random_uniform(Shape{k, 128}, rng, 1.0f);
       Tensor c;
@@ -67,6 +70,46 @@ TEST_P(GemmInvarianceTest, BatchedRowsMatchSoloRowsPastOneKBlock) {
       expect_rows_match_solo(a, b, c,
                              "k=" + std::to_string(k) +
                                  " m=" + std::to_string(m));
+    }
+  }
+}
+
+TEST_P(GemmInvarianceTest, TiledRowsMatchSoloRowsAndBlockedPath) {
+  // Every m below the blocked threshold runs the in-place tiled path, so
+  // sweeping m = 1..kGemmBlockedMinRows hits every row-block remainder.
+  // n covers the model's projection widths plus tails of one 8-lane vector
+  // (8), one lane past a vector (17) and two past a whole tile (130); k = 1
+  // is the shortest chain, 128 the model's d_model, 512 its d_ff. The rows
+  // of one A are shared by every m, so the solo products run once per shape.
+  Rng rng(11);
+  const Index max_m = kGemmBlockedMinRows;
+  for (const Index k : {Index{1}, Index{128}, Index{512}}) {
+    for (const Index n : {Index{128}, Index{512}, Index{1024}, Index{8},
+                          Index{17}, Index{130}}) {
+      const std::string shape =
+          "k=" + std::to_string(k) + " n=" + std::to_string(n);
+      const Tensor a = Tensor::random_uniform(Shape{max_m, k}, rng, 1.0f);
+      const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
+      Tensor solo(Shape{max_m, n});
+      for (Index i = 0; i < max_m; ++i)
+        matmul(a.row(i), b.raw(), solo.row(i), 1, k, n);
+      Tensor c(Shape{max_m, n});
+      Tensor blocked(Shape{max_m, n});
+      for (Index m = 1; m <= max_m; ++m) {
+        const std::size_t count =
+            static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+        matmul(a.raw(), b.raw(), c.raw(), m, k, n);
+        gemm_blocked_with(a.raw(), b.raw(), blocked.raw(), m, k, n,
+                          /*transposed_b=*/false,
+                          select_blocking(classify_gemm(m, n)));
+        Index vs_solo = 0, vs_blocked = 0;
+        for (std::size_t e = 0; e < count; ++e) {
+          if (c.raw()[e] != solo.raw()[e]) ++vs_solo;
+          if (c.raw()[e] != blocked.raw()[e]) ++vs_blocked;
+        }
+        EXPECT_EQ(vs_solo, 0) << shape << " m=" << m << " vs solo rows";
+        EXPECT_EQ(vs_blocked, 0) << shape << " m=" << m << " vs blocked";
+      }
     }
   }
 }
