@@ -26,7 +26,13 @@ class TuneCacheTest : public ::testing::Test {
     saved_autotune_ = save("TCB_GEMM_AUTOTUNE");
     saved_cache_ = save("TCB_TUNE_CACHE");
     ::setenv("TCB_GEMM_AUTOTUNE", "0", 1);
-    cache_path_ = ::testing::TempDir() + "tcb_tune_cache_test.json";
+    // One file per case: ctest runs the cases as concurrent processes, and
+    // a shared path would let one case's remove or bogus write land between
+    // another's write and reload.
+    const char* test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    cache_path_ =
+        ::testing::TempDir() + "tcb_tune_cache_" + test_name + ".json";
     std::remove(cache_path_.c_str());
     ::setenv("TCB_TUNE_CACHE", cache_path_.c_str(), 1);
     gemm_tuning_reset_for_test();
