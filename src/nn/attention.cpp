@@ -134,7 +134,7 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   parallel_for(tasks.size(), [&, pq, pk, pv,
                               pout](std::size_t begin_task,
                                     std::size_t end_task) {
-    // Flash-style tiled kernel (paper Eq. 5-6 fused like the fused kernel,
+    // Flash-style tiled kernel (paper Eq. 5-6 fused into the score pass,
     // plus FlashAttention's online softmax): scores exist only one kTile
     // strip at a time, in L1. Per key tile the kernel keeps a running max m,
     // running exp-sum l, and an output accumulator that is rescaled by
@@ -142,7 +142,8 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
     // normalize is one multiply by 1/l. Masked-out entries are never
     // computed at all — each query walks only the contiguous column spans
     // its mask admits (its own segment under kSegment, every non-padding
-    // span under kRowShared), exactly like the fused kernel.
+    // span under kRowShared). Skipping them is bitwise-neutral: a masked
+    // entry would contribute exp(kMaskedOut - m) == 0.0f exactly.
     //
     // Scores are produced by vertical FMAs over a K^T panel packed per task
     // into workspace scratch: s[j] += q[c] * kt[c][j] for each of the dh
@@ -241,7 +242,7 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
             simd::exp_shift_inplace(s, m, tw);
             // Online-softmax running sum: one scalar add per kTile tile,
             // in span-relative tile order — concat-invariant and pinned by
-            // the flash-vs-fused ULP suite.
+            // the flash-vs-reference ULP suite.
             // tcb-lint: allow(raw-fp-accumulation)
             l += simd::reduce_add(s, tw);
             for (Index j = 0; j < tw; ++j)
@@ -259,136 +260,6 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   });
 
   return wo_.forward(heads_tl);
-}
-
-Tensor MultiHeadAttention::encoder_forward_fused(const Tensor& x,
-                                                 const BatchPlan& plan,
-                                                 Col width_col,
-                                                 AttentionMode mode,
-                                                 MaskPolicy mask) const {
-  const Index width = width_col.value();
-  const Index rows = static_cast<Index>(plan.rows.size());
-  const Index d = n_heads_ * head_dim_;
-  check_forward_args(x, plan, width, mode, rows, d, "encoder_forward_fused");
-
-  const Tensor q = wq_.forward(x);
-  const Tensor k = wk_.forward(x);
-  const Tensor v = wv_.forward(x);
-
-  const SegmentCache& sc = plan.segment_cache(width_col);
-  TCB_CHECK(sc.row_count() == rows && sc.width() == width,
-            "encoder_forward_fused: segment cache geometry mismatch");
-
-  Tensor heads_out(Shape{rows * width, d});
-  const auto tasks = build_tasks(plan, width, mode, n_heads_);
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const float* pq = q.raw();
-  const float* pk = k.raw();
-  const float* pv = v.raw();
-  float* pout = heads_out.raw();
-  const Index dh = head_dim_;
-
-  parallel_for(tasks.size(), [&](std::size_t begin_task, std::size_t end_task) {
-    // Fused mask + score pass (paper Eq. 5-6): instead of materializing the
-    // full w x w matrix and masking it in a second sweep, each query walks
-    // only the contiguous column spans its mask admits — its own segment
-    // under kSegment, every non-padding span under kRowShared. Masked
-    // entries would contribute exp(kMaskedOut - mx) == 0.0f exactly, so
-    // skipping them is bitwise-neutral; the score buffer is reused across
-    // queries and never read outside the admitted spans.
-    std::vector<float> scores;
-    std::vector<std::pair<Index, Index>> spans;
-    for (std::size_t ti = begin_task; ti < end_task; ++ti) {
-      const Task& t = tasks[ti];
-      const Index w = t.width;
-      // Span/slot geometry: the task's span must lie inside the materialized
-      // row, and the mask source must cover the span — out-of-bounds here
-      // reads another request's K/V rows and produces plausible-but-wrong
-      // attention, not a crash.
-      TCB_DCHECK(t.row >= 0 && t.row < rows, "attention task row out of range");
-      TCB_DCHECK(t.head >= 0 && t.head < n_heads_,
-                 "attention task head out of range");
-      TCB_DCHECK(w > 0 && t.begin >= 0 && t.begin + w <= width,
-                 "attention span outside the materialized row");
-      scores.resize(static_cast<std::size_t>(w));
-      const std::size_t row_base = static_cast<std::size_t>(t.row) * width;
-      const std::size_t head_off = static_cast<std::size_t>(t.head) * dh;
-      const std::int32_t* smap = sc.seg_row(t.row);
-      const Index* slo = sc.span_lo_row(t.row);
-      const Index* shi = sc.span_hi_row(t.row);
-      const Index t_end = t.begin + w;
-
-      for (Index i = 0; i < w; ++i) {
-        const Index pos = t.begin + i;
-        float* out = pout + (row_base + static_cast<std::size_t>(pos)) *
-                                static_cast<std::size_t>(d) +
-                     head_off;
-        for (Index c = 0; c < dh; ++c) out[c] = 0.0f;
-        if (smap[pos] < 0) continue;  // padding query: defined as zeros
-
-        spans.clear();
-        if (mask == MaskPolicy::kSegment) {
-          // One contiguous span: the query's own segment, clipped to the
-          // task (slots never split a segment, so the clip is a no-op for
-          // valid plans; it guards degenerate hand-built ones).
-          const Index lo = std::max(slo[pos], t.begin);
-          const Index hi = std::min(shi[pos], t_end);
-          if (lo < hi) spans.emplace_back(lo, hi);
-        } else {
-          for (const auto& span : sc.used_spans(t.row)) {
-            const Index lo = std::max(span.first, t.begin);
-            const Index hi = std::min(span.second, t_end);
-            if (lo < hi) spans.emplace_back(lo, hi);
-          }
-        }
-
-        // Step 2 (Fig. 6), fused with step 3: S = Q K^T / sqrt(d) over the
-        // admitted spans only, tracking the running max for the softmax.
-        const float* qi = pq + (row_base + static_cast<std::size_t>(pos)) *
-                                   static_cast<std::size_t>(d) +
-                          head_off;
-        float mx = kMaskedOut;
-        for (const auto& [lo, hi] : spans) {
-          for (Index j = lo; j < hi; ++j) {
-            const float* kj = pk + (row_base + static_cast<std::size_t>(j)) *
-                                       static_cast<std::size_t>(d) +
-                              head_off;
-            const float s = simd::dot(qi, kj, dh) * inv_sqrt_d;
-            scores[static_cast<std::size_t>(j - t.begin)] = s;
-            mx = std::max(mx, s);
-          }
-        }
-        if (mx <= kMaskedOut / 2) continue;  // no admissible key
-
-        // Step 4 (Fig. 6): softmax over the spans, then the V product with
-        // the head-dim inner loop vectorized.
-        float sum = 0.0f;
-        for (const auto& [lo, hi] : spans) {
-          for (Index j = lo; j < hi; ++j) {
-            const float e = std::exp(scores[static_cast<std::size_t>(j - t.begin)] - mx);
-            scores[static_cast<std::size_t>(j - t.begin)] = e;
-            // Ascending-j walk over the task's own spans: the chain shape
-            // is per-request, and these exact numerics are the
-            // concat-neutrality suite's baseline.
-            // tcb-lint: allow(raw-fp-accumulation)
-            sum += e;
-          }
-        }
-        const float inv = 1.0f / sum;
-        for (const auto& [lo, hi] : spans) {
-          for (Index j = lo; j < hi; ++j) {
-            const float a = scores[static_cast<std::size_t>(j - t.begin)] * inv;
-            const float* vj = pv + (row_base + static_cast<std::size_t>(j)) *
-                                       static_cast<std::size_t>(d) +
-                              head_off;
-            simd::axpy(a, vj, out, dh);
-          }
-        }
-      }
-    }
-  });
-
-  return wo_.forward(heads_out);
 }
 
 Tensor MultiHeadAttention::encoder_forward_reference(const Tensor& x,

@@ -61,19 +61,10 @@ class MultiHeadAttention {
                                        MaskPolicy mask = MaskPolicy::kSegment)
       const TCB_BITWISE;
 
-  /// The previous production kernel: fused masking (each query walks only
-  /// its admitted spans) but two-pass softmax — a full span-wide score
-  /// buffer per query, one pass for scores + max, one for exp/normalize.
-  /// Kept as the head-to-head baseline the flash kernel is benchmarked
-  /// against (BM_AttentionFused) and as a second differential oracle.
-  [[nodiscard]] Tensor encoder_forward_fused(
-      const Tensor& x, const BatchPlan& plan, Col width, AttentionMode mode,
-      MaskPolicy mask = MaskPolicy::kSegment) const TCB_BITWISE;
-
   /// The pre-optimization execution: materializes every task's full w x w
   /// score matrix, masks it in a second sweep, then runs softmax and the
   /// value product with scalar loops (paper Fig. 6 literally). Kept as the
-  /// reference the fused kernel is differentially tested against, and as the
+  /// reference the flash kernel is differentially tested against, and as the
   /// baseline BM_AttentionPureRef measures.
   /// TCB_REASSOC: the scalar loops here are the tolerance-governed oracle
   /// the fast kernels are ULP-compared against, not part of the bitwise

@@ -1,32 +1,32 @@
 // GEMM (matmul / matmul_nt): three paths, routed by shape.
 //
 //   in-place tiled   matmul with m < kGemmBlockedMinRows (ops.hpp), or
-//                    n < NR, or k < 8: every decode slice and splice
+//                    n < kNr, or k < 8: every decode slice and splice
 //                    encode. An MR x (NV * lanes) block of C lives in
 //                    vector registers while k is walked in order; each
 //                    depth loads B's row segment once and FMAs the
 //                    broadcast a[r][p] into every row. Nothing is packed.
 //   packed, blocked  matmul from kGemmBlockedMinRows rows, matmul_nt from
-//                    2 * MR rows (n >= NR, k >= 8): the classic
+//                    2 * kMr rows (n >= kNr, k >= 8): the classic
 //                    GotoBLAS/BLIS decomposition below.
 //   dot products     matmul_nt below that: one simd::dot per element.
 //
 // The blocked path, sized for the encoder's shapes (m up to a few
 // thousand, k/n up to a few thousand):
 //
-//   for each kc-block of K (blk.kc depths):           L2-resident B slab
-//     pack B[kc, n] into NR-column panels (Bp)
-//     parallel over MR-row panels of A:               one chunk per worker(s)
-//       pack A[mr, kc] into a k-major panel (Ap)
-//       for each NR-column panel: microkernel         registers only
+//   for each kKc-deep block of K:                     L2-resident B slab
+//     pack B[kc, n] into kNr-column panels (Bp)
+//     parallel over kMr-row panels of A:              one chunk per worker(s)
+//       pack A[kMr, kc] into a k-major panel (Ap)
+//       for each kNr-column panel: microkernel        registers only
 //
-// The microkernel computes an MR x NR tile held entirely in vector
-// registers. Each ISA compiles a small table of template-instantiated
-// variants (e.g. AVX-512: 8x32 / 12x32 / 8x16 / 4x64); which variant runs —
-// and how deep kc is — comes from tensor/tuning.hpp, which derives the
-// candidates from the detected L1/L2 geometry and trial-times them once per
-// process. Panels are zero-padded to full MR/NR so the microkernel has no
-// edge branches; the write-back clips to the valid region.
+// The microkernel computes a kMr x kNr tile held entirely in vector
+// registers. Each ISA compiles exactly one tile — AVX-512 8x32, AVX2 6x16,
+// NEON 8x8, scalar 4x8 — and every ISA packs kKc = 256 depths per block.
+// Nothing is chosen at run time; DESIGN.md §13.5 has the measurement that
+// showed choosing among tiles and depths gained nothing. Panels are
+// zero-padded to full kMr/kNr so the microkernel has no edge branches; the
+// write-back clips to the valid region.
 //
 // Scratch (the packed Ap/Bp panels and the C tile) lives in the per-thread
 // Workspace arena (tensor/workspace.hpp) instead of per-call std::vectors:
@@ -34,24 +34,25 @@
 // allocations. The tiled path needs no scratch at all.
 //
 // Routing: kGemmBlockedMinRows is the crossover BM_MatmulDecode measured
-// (EXPERIMENTS.md): below it, reading B once per MR rows from cache beats
-// packing B on every call. It is a fixed constant — no option, environment
-// variable or tuning moves it — so a shape routes the same on every host.
+// (EXPERIMENTS.md): below it, reading B once per tile rows from cache beats
+// packing B on every call. Like the tile and kKc it is a fixed constant —
+// no option or environment variable moves it — so a shape routes and
+// blocks the same on every host of one ISA.
 //
 // Numerical contract: every C element of matmul is ONE fused-multiply-add
 // chain in ascending k order over the whole depth, starting from 0 (lanes
 // are distinct output columns, rows are distinct accumulators), and the zero
 // padding contributes exact 0.0f. The tiles build that chain directly, in
-// every row remainder and column tail. In the blocked path a kc-block after
+// every row remainder and column tail. In the blocked path a k-block after
 // the first loads the C tile back into the accumulators and continues the
-// chain, so the split into k-blocks is invisible. This holds for EVERY tile,
-// microkernel variant and kc — changing MR/NR only moves an element between
-// registers, never reorders its chain — and it is the chain simd::axpy
-// builds for one row. So a row of C is bitwise the same whatever other rows
-// share the call, whichever path or blocking the shape routes to, for every
-// k: batched and single-request runs of a layer agree, and so does a decode
-// step sliced across workers (the property the concat-vs-single equivalence
-// suites rely on; tests/tensor/gemm_invariance_test.cpp pins it). matmul_nt's
+// chain, so the split into ceil(k / kKc) blocks is invisible for every k —
+// and the tile shape only moves an element between registers, never
+// reorders its chain. It is the chain simd::axpy builds for one row. So a
+// row of C is bitwise the same whatever other rows share the call,
+// whichever path the shape routes to, for every k: batched and
+// single-request runs of a layer agree, and so does a decode step sliced
+// across workers (the property the concat-vs-single equivalence suites
+// rely on; tests/tensor/gemm_invariance_test.cpp pins it). matmul_nt's
 // dot-product path reduces per-lane partial sums instead and is not part of
 // this contract. The scalar reference (tcb::ref::matmul) reassociates
 // differently and is compared under tolerance instead.
@@ -65,7 +66,6 @@
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
-#include "tensor/tuning.hpp"
 #include "tensor/workspace.hpp"
 
 namespace tcb {
@@ -75,146 +75,117 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-/// Baseline packed-block depth (the autotuner's floor; see tuning.hpp).
+/// Packed-block depth: kKc depths of B (times the columns) form one slab.
 constexpr Index kKc = 256;
 
-// --- microkernel variants --------------------------------------------------
+// --- the microkernel -------------------------------------------------------
 //
-// ukernel<MR, NV> computes an MR x (NV * lane-width) tile:
-// ctile[r * NR + j] += sum_p ap[p * MR + r] * bp[p * NR + j], each element's
-// FMA chain starting from the value already in ctile (0 for the first
-// k-block, the chain so far for later ones — never a separately rounded
-// partial sum added afterwards). `ap` is k-major
-// (MR values per depth), `bp` likewise with NR values per depth; both are
-// zero-padded by the packers. Variants must keep MR * NV accumulators plus
-// NV B vectors plus one A broadcast inside the register file.
+// ukernel computes a kMr x kNr tile (kNr = kNv vectors):
+// ctile[r * kNr + j] += sum_p ap[p * kMr + r] * bp[p * kNr + j], each
+// element's FMA chain starting from the value already in ctile (0 for the
+// first k-block, the chain so far for later ones — never a separately
+// rounded partial sum added afterwards). `ap` is k-major (kMr values per
+// depth), `bp` likewise with kNr values per depth; both are zero-padded by
+// the packers. The tile keeps kMr * kNv accumulators plus kNv B vectors plus
+// one A broadcast inside the register file.
 
 #if defined(TCB_SIMD_AVX512)
 
-template <int MR, int NV>
+// 8x32: 16 acc + 2 B + 1 bcast = 19 of 32 zmm.
+constexpr Index kMr = 8;
+constexpr Index kNv = 2;
+constexpr Index kNr = kNv * 16;
+
 void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
-  constexpr Index kNR = NV * 16;
-  __m512 acc[MR][NV];
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      acc[r][v] = _mm512_loadu_ps(ctile + r * kNR + 16 * v);
+  __m512 acc[kMr][kNv];
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v)
+      acc[r][v] = _mm512_loadu_ps(ctile + r * kNr + 16 * v);
   for (Index p = 0; p < kc; ++p) {
-    __m512 b[NV];
-    for (int v = 0; v < NV; ++v) b[v] = _mm512_loadu_ps(bp + p * kNR + 16 * v);
-    const float* arow = ap + p * MR;
-    for (int r = 0; r < MR; ++r) {
+    __m512 b[kNv];
+    for (int v = 0; v < kNv; ++v) b[v] = _mm512_loadu_ps(bp + p * kNr + 16 * v);
+    const float* arow = ap + p * kMr;
+    for (int r = 0; r < kMr; ++r) {
       const __m512 av = _mm512_set1_ps(arow[r]);
-      for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_fmadd_ps(av, b[v], acc[r][v]);
+      for (int v = 0; v < kNv; ++v) acc[r][v] = _mm512_fmadd_ps(av, b[v], acc[r][v]);
     }
   }
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm512_storeu_ps(ctile + r * kNR + 16 * v, acc[r][v]);
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v)
+      _mm512_storeu_ps(ctile + r * kNr + 16 * v, acc[r][v]);
 }
 
 #elif defined(TCB_SIMD_AVX2)
 
-template <int MR, int NV>
+// 6x16: 12 acc + 2 B + 1 bcast = 15 of 16 ymm.
+constexpr Index kMr = 6;
+constexpr Index kNv = 2;
+constexpr Index kNr = kNv * 8;
+
 void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
-  constexpr Index kNR = NV * 8;
-  __m256 acc[MR][NV];
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      acc[r][v] = _mm256_loadu_ps(ctile + r * kNR + 8 * v);
+  __m256 acc[kMr][kNv];
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v)
+      acc[r][v] = _mm256_loadu_ps(ctile + r * kNr + 8 * v);
   for (Index p = 0; p < kc; ++p) {
-    __m256 b[NV];
-    for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(bp + p * kNR + 8 * v);
-    const float* arow = ap + p * MR;
-    for (int r = 0; r < MR; ++r) {
+    __m256 b[kNv];
+    for (int v = 0; v < kNv; ++v) b[v] = _mm256_loadu_ps(bp + p * kNr + 8 * v);
+    const float* arow = ap + p * kMr;
+    for (int r = 0; r < kMr; ++r) {
       const __m256 av = _mm256_set1_ps(arow[r]);
-      for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_fmadd_ps(av, b[v], acc[r][v]);
+      for (int v = 0; v < kNv; ++v) acc[r][v] = _mm256_fmadd_ps(av, b[v], acc[r][v]);
     }
   }
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm256_storeu_ps(ctile + r * kNR + 8 * v, acc[r][v]);
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v)
+      _mm256_storeu_ps(ctile + r * kNr + 8 * v, acc[r][v]);
 }
 
 #elif defined(TCB_SIMD_NEON)
 
-template <int MR, int NV>
+// 8x8: 16 acc + 2 B = 18 of 32 q registers.
+constexpr Index kMr = 8;
+constexpr Index kNv = 2;
+constexpr Index kNr = kNv * 4;
+
 void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
-  constexpr Index kNR = NV * 4;
-  float32x4_t acc[MR][NV];
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = vld1q_f32(ctile + r * kNR + 4 * v);
+  float32x4_t acc[kMr][kNv];
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v) acc[r][v] = vld1q_f32(ctile + r * kNr + 4 * v);
   for (Index p = 0; p < kc; ++p) {
-    float32x4_t b[NV];
-    for (int v = 0; v < NV; ++v) b[v] = vld1q_f32(bp + p * kNR + 4 * v);
-    const float* arow = ap + p * MR;
-    for (int r = 0; r < MR; ++r)
-      for (int v = 0; v < NV; ++v)
+    float32x4_t b[kNv];
+    for (int v = 0; v < kNv; ++v) b[v] = vld1q_f32(bp + p * kNr + 4 * v);
+    const float* arow = ap + p * kMr;
+    for (int r = 0; r < kMr; ++r)
+      for (int v = 0; v < kNv; ++v)
         acc[r][v] = vfmaq_n_f32(acc[r][v], b[v], arow[r]);
   }
-  for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) vst1q_f32(ctile + r * kNR + 4 * v, acc[r][v]);
+  for (int r = 0; r < kMr; ++r)
+    for (int v = 0; v < kNv; ++v) vst1q_f32(ctile + r * kNr + 4 * v, acc[r][v]);
 }
 
 #else
 
-/// Scalar fallback: NV counts 8-wide column groups for the autovectorizer.
-template <int MR, int NV>
+/// Scalar fallback: one 8-wide column group for the autovectorizer.
+constexpr Index kMr = 4;
+constexpr Index kNv = 1;
+constexpr Index kNr = kNv * 8;
+
 void ukernel(Index kc, const float* ap, const float* bp, float* ctile) {
-  constexpr Index kNR = NV * 8;
-  float acc[MR * kNR];
-  for (Index i = 0; i < MR * kNR; ++i) acc[i] = ctile[i];
+  float acc[kMr * kNr];
+  for (Index i = 0; i < kMr * kNr; ++i) acc[i] = ctile[i];
   for (Index p = 0; p < kc; ++p) {
-    const float* arow = ap + p * MR;
-    const float* brow = bp + p * kNR;
-    for (int r = 0; r < MR; ++r) {
+    const float* arow = ap + p * kMr;
+    const float* brow = bp + p * kNr;
+    for (int r = 0; r < kMr; ++r) {
       const float av = arow[r];
-      for (Index j = 0; j < kNR; ++j) acc[r * kNR + j] += av * brow[j];
+      for (Index j = 0; j < kNr; ++j) acc[r * kNr + j] += av * brow[j];
     }
   }
-  for (Index i = 0; i < MR * kNR; ++i) ctile[i] = acc[i];
+  for (Index i = 0; i < kMr * kNr; ++i) ctile[i] = acc[i];
 }
 
 #endif
-
-struct MicroKernel {
-  void (*fn)(Index kc, const float* ap, const float* bp, float* ctile);
-  Index mr;
-  Index nr;
-  const char* tag;
-};
-
-#if defined(TCB_SIMD_AVX512)
-// 8x32: 16 acc + 2 B + 1 bcast = 19 of 32 zmm. 12x32: 27. 8x16: 10 (less
-// L1 pressure per panel). 4x64: 21 (wide outputs).
-constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<8, 2>, 8, 32, "avx512_8x32"},
-    {&ukernel<12, 2>, 12, 32, "avx512_12x32"},
-    {&ukernel<8, 1>, 8, 16, "avx512_8x16"},
-    {&ukernel<4, 4>, 4, 64, "avx512_4x64"},
-};
-#elif defined(TCB_SIMD_AVX2)
-// 6x16: 12 acc + 2 B + 1 bcast = 15 of 16 ymm (full tilt). 4x16: 11.
-// 8x8: 10.
-constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<6, 2>, 6, 16, "avx2_6x16"},
-    {&ukernel<4, 2>, 4, 16, "avx2_4x16"},
-    {&ukernel<8, 1>, 8, 8, "avx2_8x8"},
-};
-#elif defined(TCB_SIMD_NEON)
-constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<8, 2>, 8, 8, "neon_8x8"},
-    {&ukernel<4, 4>, 4, 16, "neon_4x16"},
-    {&ukernel<8, 1>, 8, 4, "neon_8x4"},
-};
-#else
-constexpr MicroKernel kMicroKernels[] = {
-    {&ukernel<4, 1>, 4, 8, "scalar_4x8"},
-};
-#endif
-
-constexpr int kDefaultKernel = 0;
-constexpr Index kMr = kMicroKernels[kDefaultKernel].mr;
-constexpr Index kNr = kMicroKernels[kDefaultKernel].nr;
 
 // --- in-place tile kernels (the short-matrix path) --------------------------
 //
@@ -223,7 +194,7 @@ constexpr Index kNr = kMicroKernels[kDefaultKernel].nr;
 // row segment once, broadcasts each a[r][p] and FMAs it into row r's
 // accumulators, which start at 0. So every C element is one FMA chain in
 // ascending k — the chain simd::axpy builds for one row at a time and the
-// blocked microkernels build — whatever rows share the tile. tile_tail<MR>
+// blocked microkernel builds — whatever rows share the tile. tile_tail<MR>
 // covers the last cols < kTileLanes columns with the same per-lane chain:
 // masked lanes on x86 and scalar std::fma on NEON (a fused multiply-add
 // rounds once whatever its width, so both equal simd::axpy's narrower
@@ -429,22 +400,22 @@ void tile_block(const float* a, const float* b, float* c, Index k, Index n,
     kTileTails[r](a, b + nv * kTileLanes, c + nv * kTileLanes, k, n, tail);
 }
 
-/// Packs B[k0:k0+kc, 0:n] (row-major, leading dim n) into nr-column panels:
-/// panel jp holds kc rows of nr floats, zero-padded past column n. `bp` is
-/// raw workspace memory, so padding is written explicitly.
-void pack_b(const float* b, Index n, Index k0, Index kc, Index nr,
+/// Packs B[k0:k0+kc, 0:n] (row-major, leading dim n) into kNr-column
+/// panels: panel jp holds kc rows of kNr floats, zero-padded past column n.
+/// `bp` is raw workspace memory, so padding is written explicitly.
+void pack_b(const float* b, Index n, Index k0, Index kc,
             float* bp) TCB_BITWISE {
-  const Index panels = (n + nr - 1) / nr;
+  const Index panels = (n + kNr - 1) / kNr;
   for (Index jp = 0; jp < panels; ++jp) {
-    const Index j0 = jp * nr;
-    const Index jn = std::min<Index>(nr, n - j0);
+    const Index j0 = jp * kNr;
+    const Index jn = std::min<Index>(kNr, n - j0);
     float* dst = bp + static_cast<std::size_t>(jp) *
-                          static_cast<std::size_t>(kc) * nr;
+                          static_cast<std::size_t>(kc) * kNr;
     for (Index p = 0; p < kc; ++p) {
       const float* src =
           b + static_cast<std::size_t>(k0 + p) * static_cast<std::size_t>(n) + j0;
-      for (Index j = 0; j < jn; ++j) dst[p * nr + j] = src[j];
-      for (Index j = jn; j < nr; ++j) dst[p * nr + j] = 0.0f;
+      for (Index j = 0; j < jn; ++j) dst[p * kNr + j] = src[j];
+      for (Index j = jn; j < kNr; ++j) dst[p * kNr + j] = 0.0f;
     }
   }
 }
@@ -452,65 +423,61 @@ void pack_b(const float* b, Index n, Index k0, Index kc, Index nr,
 /// Same panel layout, but the source is B(n,k) row-major and we need its
 /// transpose: Bp[p][j] = B[j0+j, k0+p]. Used by matmul_nt.
 void pack_b_transposed(const float* b, Index n, Index k, Index k0, Index kc,
-                       Index nr, float* bp) TCB_BITWISE {
-  const Index panels = (n + nr - 1) / nr;
+                       float* bp) TCB_BITWISE {
+  const Index panels = (n + kNr - 1) / kNr;
   for (Index jp = 0; jp < panels; ++jp) {
-    const Index j0 = jp * nr;
-    const Index jn = std::min<Index>(nr, n - j0);
+    const Index j0 = jp * kNr;
+    const Index jn = std::min<Index>(kNr, n - j0);
     float* dst = bp + static_cast<std::size_t>(jp) *
-                          static_cast<std::size_t>(kc) * nr;
+                          static_cast<std::size_t>(kc) * kNr;
     for (Index j = 0; j < jn; ++j) {
       const float* src =
           b + static_cast<std::size_t>(j0 + j) * static_cast<std::size_t>(k) + k0;
-      for (Index p = 0; p < kc; ++p) dst[p * nr + j] = src[p];
+      for (Index p = 0; p < kc; ++p) dst[p * kNr + j] = src[p];
     }
-    for (Index j = jn; j < nr; ++j)
-      for (Index p = 0; p < kc; ++p) dst[p * nr + j] = 0.0f;
+    for (Index j = jn; j < kNr; ++j)
+      for (Index p = 0; p < kc; ++p) dst[p * kNr + j] = 0.0f;
   }
 }
 
 /// Packs A[i0:i0+mr, k0:k0+kc] (row-major, leading dim k) k-major into `ap`,
-/// zero-padding rows past mr up to mr_max.
+/// zero-padding rows past mr up to kMr.
 void pack_a(const float* a, Index k, Index i0, Index mr, Index k0, Index kc,
-            Index mr_max, float* ap) TCB_BITWISE {
+            float* ap) TCB_BITWISE {
   for (Index p = 0; p < kc; ++p) {
-    float* dst = ap + p * mr_max;
+    float* dst = ap + p * kMr;
     for (Index r = 0; r < mr; ++r)
       dst[r] = a[static_cast<std::size_t>(i0 + r) * static_cast<std::size_t>(k) +
                  static_cast<std::size_t>(k0 + p)];
-    for (Index r = mr; r < mr_max; ++r) dst[r] = 0.0f;
+    for (Index r = mr; r < kMr; ++r) dst[r] = 0.0f;
   }
 }
 
 /// Blocked driver shared by matmul and matmul_nt; `transposed_b` selects the
 /// B packing. C must already have shape (m, n).
 void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
-                  Index k, Index n, bool transposed_b,
-                  const GemmBlocking& blk) TCB_BITWISE {
-  const MicroKernel& uk = kMicroKernels[blk.kernel];
-  const Index mr_max = uk.mr;
-  const Index nr = uk.nr;
-  const Index row_panels = (m + mr_max - 1) / mr_max;
-  const Index col_panels = (n + nr - 1) / nr;
+                  Index k, Index n, bool transposed_b) TCB_BITWISE {
+  const Index row_panels = (m + kMr - 1) / kMr;
+  const Index col_panels = (n + kNr - 1) / kNr;
   const std::size_t grain_rows = gemm_grain(m, n, k);
   const std::size_t grain_panels =
-      std::max<std::size_t>(1, grain_rows / static_cast<std::size_t>(mr_max));
+      std::max<std::size_t>(1, grain_rows / static_cast<std::size_t>(kMr));
 
   // One packed B slab per kc-block, packed on the calling thread and shared
   // read-only by all workers. The slab is workspace scratch sized for the
   // deepest block and reused across blocks; the scope spans the blocking
   // parallel_for calls, so worker reads always see live storage.
   WorkspaceScope bscope;
-  const Index kc_max = std::min<Index>(blk.kc, k);
+  const Index kc_max = std::min<Index>(kKc, k);
   float* bp = bscope.alloc(static_cast<std::size_t>(col_panels) *
                            static_cast<std::size_t>(kc_max) *
-                           static_cast<std::size_t>(nr));
-  for (Index k0 = 0; k0 < k; k0 += blk.kc) {
-    const Index kc = std::min<Index>(blk.kc, k - k0);
+                           static_cast<std::size_t>(kNr));
+  for (Index k0 = 0; k0 < k; k0 += kKc) {
+    const Index kc = std::min<Index>(kKc, k - k0);
     if (transposed_b)
-      pack_b_transposed(pb, n, k, k0, kc, nr, bp);
+      pack_b_transposed(pb, n, k, k0, kc, bp);
     else
-      pack_b(pb, n, k0, kc, nr, bp);
+      pack_b(pb, n, k0, kc, bp);
     const bool first_block = k0 == 0;
 
     parallel_for(
@@ -520,24 +487,24 @@ void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
           // calling thread this nests LIFO inside bscope; pool workers use
           // their own arenas.
           WorkspaceScope wscope;
-          float* ap = wscope.alloc(static_cast<std::size_t>(mr_max) *
+          float* ap = wscope.alloc(static_cast<std::size_t>(kMr) *
                                    static_cast<std::size_t>(kc));
-          float* ctile = wscope.alloc(static_cast<std::size_t>(mr_max) *
-                                      static_cast<std::size_t>(nr));
+          float* ctile = wscope.alloc(static_cast<std::size_t>(kMr) *
+                                      static_cast<std::size_t>(kNr));
           for (std::size_t rp = begin; rp < end; ++rp) {
-            const Index i0 = static_cast<Index>(rp) * mr_max;
-            const Index mr = std::min<Index>(mr_max, m - i0);
-            pack_a(pa, k, i0, mr, k0, kc, mr_max, ap);
+            const Index i0 = static_cast<Index>(rp) * kMr;
+            const Index mr = std::min<Index>(kMr, m - i0);
+            pack_a(pa, k, i0, mr, k0, kc, ap);
             for (Index jp = 0; jp < col_panels; ++jp) {
-              const Index j0 = jp * nr;
-              const Index jn = std::min<Index>(nr, n - j0);
+              const Index j0 = jp * kNr;
+              const Index jn = std::min<Index>(kNr, n - j0);
               const float* bpanel = bp + static_cast<std::size_t>(jp) *
-                                            static_cast<std::size_t>(kc) * nr;
+                                            static_cast<std::size_t>(kc) * kNr;
               // Seed the accumulators: 0 on the first k-block, the chains
               // so far on later ones. Padding lanes start at 0 and are
               // clipped on write-back.
-              for (Index r = 0; r < mr_max; ++r) {
-                float* trow = ctile + r * nr;
+              for (Index r = 0; r < kMr; ++r) {
+                float* trow = ctile + r * kNr;
                 Index j = 0;
                 if (!first_block && r < mr) {
                   const float* crow = pc + static_cast<std::size_t>(i0 + r) *
@@ -545,14 +512,14 @@ void gemm_blocked(const float* pa, const float* pb, float* pc, Index m,
                                       j0;
                   for (; j < jn; ++j) trow[j] = crow[j];
                 }
-                for (; j < nr; ++j) trow[j] = 0.0f;
+                for (; j < kNr; ++j) trow[j] = 0.0f;
               }
-              uk.fn(kc, ap, bpanel, ctile);
+              ukernel(kc, ap, bpanel, ctile);
               for (Index r = 0; r < mr; ++r) {
                 float* crow = pc + static_cast<std::size_t>(i0 + r) *
                                        static_cast<std::size_t>(n) +
                               j0;
-                const float* trow = ctile + r * nr;
+                const float* trow = ctile + r * kNr;
                 for (Index j = 0; j < jn; ++j) crow[j] = trow[j];
               }
             }
@@ -623,48 +590,17 @@ void gemm_small_nt(const float* pa, const float* pb, float* pc, Index m,
 /// The blocked path needs at least `min_rows` rows to amortize packing B
 /// (one sweep over k*n) and enough columns for full vector panels. matmul
 /// passes kGemmBlockedMinRows; matmul_nt, whose dot-product path stops
-/// paying off sooner, passes two ISA-default microkernel heights, so the
-/// decision is independent of tuning either way.
+/// paying off sooner, passes two microkernel heights.
 bool use_blocked(Index m, Index n, Index k, Index min_rows) {
   return m >= min_rows && n >= kNr && k >= 8;
 }
 
 }  // namespace
 
-std::size_t gemm_kernel_count() noexcept {
-  return sizeof(kMicroKernels) / sizeof(kMicroKernels[0]);
-}
-
-GemmKernelInfo gemm_kernel_info(std::size_t i) noexcept {
-  GemmKernelInfo info;
-  if (i < gemm_kernel_count()) {
-    info.mr = kMicroKernels[i].mr;
-    info.nr = kMicroKernels[i].nr;
-    info.tag = kMicroKernels[i].tag;
-  }
-  return info;
-}
-
-GemmBlocking gemm_default_blocking() {
-  GemmBlocking b;
-  b.kc = kKc;
-  b.mr = kMr;
-  b.nr = kNr;
-  b.kernel = kDefaultKernel;
-  b.tag = std::string(kMicroKernels[kDefaultKernel].tag) + "/kc" +
-          std::to_string(kKc);
-  return b;
-}
-
 void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
-                       Index k, Index n, bool transposed_b,
-                       const GemmBlocking& blk) {
+                       Index k, Index n, bool transposed_b) {
   require(m > 0 && n > 0 && k > 0, "gemm_blocked_with: empty operand");
-  require(blk.kernel >= 0 &&
-              static_cast<std::size_t>(blk.kernel) < gemm_kernel_count() &&
-              blk.kc > 0,
-          "gemm_blocked_with: invalid blocking");
-  gemm_blocked(a, b, c, m, k, n, transposed_b, blk);
+  gemm_blocked(a, b, c, m, k, n, transposed_b);
 }
 
 std::size_t gemm_grain(Index m, Index n, Index k) {
@@ -702,8 +638,7 @@ void matmul(const float* a, const float* b, float* c, Index m, Index k,
     return;
   }
   if (use_blocked(m, n, k, kGemmBlockedMinRows))
-    gemm_blocked(a, b, c, m, k, n, /*transposed_b=*/false,
-                 select_blocking(classify_gemm(m, n)));
+    gemm_blocked(a, b, c, m, k, n, /*transposed_b=*/false);
   else
     gemm_tiled_nn(a, b, c, m, k, n);
 }
@@ -725,8 +660,7 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
     return;
   }
   if (use_blocked(m, n, k, 2 * kMr))
-    gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/true,
-                 select_blocking(classify_gemm(m, n)));
+    gemm_blocked(a.raw(), b.raw(), c.raw(), m, k, n, /*transposed_b=*/true);
   else
     gemm_small_nt(a.raw(), b.raw(), c.raw(), m, k, n);
 }

@@ -35,6 +35,14 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) TCB_BITWISE;
 /// constant, picked from bench/micro_kernels' BM_MatmulDecode sweep.
 inline constexpr Index kGemmBlockedMinRows = 64;
 
+/// c(m,n) = a(m,k) * b through the packed, cache-blocked path whatever the
+/// shape, so tests can compare it with the routed matmul. b is (k,n)
+/// row-major, or (n,k) when `transposed_b`.
+/// TCB_BITWISE: the same per-element ascending-k FMA chain over the whole
+/// depth as matmul's tiled path, continued across every k-block.
+void gemm_blocked_with(const float* a, const float* b, float* c, Index m,
+                       Index k, Index n, bool transposed_b) TCB_BITWISE;
+
 /// Raw-pointer form for rows held in scratch memory (a Workspace arena):
 /// c(m,n) = a(m,k) * b(k,n), all dense row-major, c fully overwritten. Same
 /// routing and per-row numerical contract as the Tensor form.

@@ -2,7 +2,7 @@
 // numerical contract): a row of C must be bitwise the same whether it is
 // computed alone, alongside a few other rows (the in-place tiled path, any
 // row-block remainder, any column tail) or alongside many (the blocked path,
-// any microkernel, any kc). The blocked path used to add each later
+// across any number of k-blocks). The blocked path used to add each later
 // k-block's partial sum onto C, which split every element's FMA chain once
 // k > kc — so a 16-row FFN down-projection (k = d_ff = 512)
 // disagreed with the same rows multiplied one at a time, and a decode step's
@@ -10,12 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "tensor/ops.hpp"
-#include "tensor/tuning.hpp"
 
 namespace tcb {
 namespace {
@@ -36,30 +33,11 @@ void expect_rows_match_solo(const Tensor& a, const Tensor& b, const Tensor& c,
   }
 }
 
-/// Runs with TCB_GEMM_AUTOTUNE forced to the parameter, re-resolving the
-/// per-class blockings under it, and restores the environment afterwards.
-class GemmInvarianceTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (const char* v = std::getenv("TCB_GEMM_AUTOTUNE")) saved_ = v;
-    ::setenv("TCB_GEMM_AUTOTUNE", GetParam(), 1);
-    gemm_tuning_reset_for_test();
-  }
-  void TearDown() override {
-    if (saved_)
-      ::setenv("TCB_GEMM_AUTOTUNE", saved_->c_str(), 1);
-    else
-      ::unsetenv("TCB_GEMM_AUTOTUNE");
-    gemm_tuning_reset_for_test();
-  }
-  std::optional<std::string> saved_;
-};
-
-TEST_P(GemmInvarianceTest, BatchedRowsMatchSoloRowsPastOneKBlock) {
+TEST(GemmInvariance, BatchedRowsMatchSoloRowsPastOneKBlock) {
   Rng rng(5);
   // k = 512 is the default model's FFN down-projection; 700 ends on a
-  // partial block; 1024 spans several blocks at every candidate kc. m = 64
-  // and 100 route to the blocked path, the shorter ones to the tiles.
+  // partial block; 1024 spans four blocks. m = 64 and 100 route to the
+  // blocked path, the shorter ones to the tiles.
   for (const Index k : {Index{256}, Index{512}, Index{700}, Index{1024}}) {
     for (const Index m : {Index{13}, Index{16}, Index{40}, Index{64},
                           Index{100}}) {
@@ -74,7 +52,7 @@ TEST_P(GemmInvarianceTest, BatchedRowsMatchSoloRowsPastOneKBlock) {
   }
 }
 
-TEST_P(GemmInvarianceTest, TiledRowsMatchSoloRowsAndBlockedPath) {
+TEST(GemmInvariance, TiledRowsMatchSoloRowsAndBlockedPath) {
   // Every m below the blocked threshold runs the in-place tiled path, so
   // sweeping m = 1..kGemmBlockedMinRows hits every row-block remainder.
   // n covers the model's projection widths plus tails of one 8-lane vector
@@ -100,8 +78,7 @@ TEST_P(GemmInvarianceTest, TiledRowsMatchSoloRowsAndBlockedPath) {
             static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
         matmul(a.raw(), b.raw(), c.raw(), m, k, n);
         gemm_blocked_with(a.raw(), b.raw(), blocked.raw(), m, k, n,
-                          /*transposed_b=*/false,
-                          select_blocking(classify_gemm(m, n)));
+                          /*transposed_b=*/false);
         Index vs_solo = 0, vs_blocked = 0;
         for (std::size_t e = 0; e < count; ++e) {
           if (c.raw()[e] != solo.raw()[e]) ++vs_solo;
@@ -114,32 +91,20 @@ TEST_P(GemmInvarianceTest, TiledRowsMatchSoloRowsAndBlockedPath) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Autotune, GemmInvarianceTest,
-                         ::testing::Values("0", "1"),
-                         [](const auto& info) {
-                           return std::string(info.param[0] == '0' ? "Off"
-                                                                   : "On");
-                         });
-
-TEST(GemmInvariance, EveryKernelAndBlockDepthContinuesTheChain) {
-  // Whatever the autotuner could pick — any microkernel, any kc (even one
-  // below the old 256 floor) — the blocked path equals the solo rows.
+TEST(GemmInvariance, BlockedPathContinuesTheChainAcrossKBlocks) {
+  // Sixteen rows would route to the tiles; forcing them through the blocked
+  // entry crosses 0 to 3 k-block boundaries (1 to 4 blocks of 256 depths,
+  // the last one partial at k = 700), and every row must still equal its
+  // solo product.
   Rng rng(9);
-  const Index m = 16, k = 512, n = 128;
-  const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
-  const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
-  for (std::size_t kernel = 0; kernel < gemm_kernel_count(); ++kernel) {
-    for (const Index kc : {Index{64}, Index{256}, Index{384}, Index{512}}) {
-      GemmBlocking blk = gemm_default_blocking();
-      blk.kernel = static_cast<int>(kernel);
-      blk.kc = kc;
-      Tensor c(Shape{m, n});
-      gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
-                        /*transposed_b=*/false, blk);
-      expect_rows_match_solo(a, b, c,
-                             std::string(gemm_kernel_info(kernel).tag) +
-                                 "/kc" + std::to_string(kc));
-    }
+  const Index m = 16, n = 128;
+  for (const Index k : {Index{256}, Index{512}, Index{700}, Index{1024}}) {
+    const Tensor a = Tensor::random_uniform(Shape{m, k}, rng, 1.0f);
+    const Tensor b = Tensor::random_uniform(Shape{k, n}, rng, 1.0f);
+    Tensor c(Shape{m, n});
+    gemm_blocked_with(a.raw(), b.raw(), c.raw(), m, k, n,
+                      /*transposed_b=*/false);
+    expect_rows_match_solo(a, b, c, "k=" + std::to_string(k));
   }
 }
 

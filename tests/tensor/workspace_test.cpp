@@ -10,7 +10,6 @@
 #include "nn/attention.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/tuning.hpp"
 #include "tensor/workspace.hpp"
 
 namespace tcb {
@@ -157,8 +156,8 @@ TEST(WorkspaceTest, SteadyStateForwardPathIsHeapAllocationFree) {
   plan.validate();
   const Tensor x = Tensor::random_uniform(Shape{width, cfg.d_model}, rng, 1.0f);
 
-  // Warm-up: triggers any autotuning, grows every worker's arena to its
-  // steady footprint, and shapes the thread_local activation tensors.
+  // Warm-up: grows every worker's arena to its steady footprint and shapes
+  // the thread_local activation tensors.
   for (int i = 0; i < 3; ++i)
     (void)mha.encoder_forward(x, plan, Col{width}, AttentionMode::kPureConcat);
 

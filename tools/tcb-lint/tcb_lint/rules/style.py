@@ -371,21 +371,20 @@ class IncludeLayering(Rule):
     }
 
     # Tensor-internal refinement for the kernel stack: the Tensor type at the
-    # bottom; simd / strong_index / io / tuning directly above it; ops over
-    # simd; kernel_ref (the scalar oracles) over ops; workspace (the
-    # per-thread scratch arena) standalone over util/parallel only; gemm on
-    # top, consuming ops, simd, the tuner and the workspace. Stems not listed
-    # (future tensor files) are only module-checked.
+    # bottom; simd / strong_index / io directly above it; ops over simd;
+    # kernel_ref (the scalar oracles) over ops; workspace (the per-thread
+    # scratch arena) standalone over util/parallel only; gemm on top,
+    # consuming ops, simd and the workspace. Stems not listed (future tensor
+    # files) are only module-checked.
     TENSOR_DAG = {
         "tensor": set(),
         "strong_index": {"tensor"},
         "simd": {"tensor"},
         "io": {"tensor"},
         "workspace": set(),
-        "tuning": {"tensor"},
         "ops": {"simd", "tensor"},
         "kernel_ref": {"ops", "tensor"},
-        "gemm": {"ops", "simd", "tensor", "tuning", "workspace"},
+        "gemm": {"ops", "simd", "tensor", "workspace"},
     }
 
     # Util-internal refinement: the contract headers (check's assertions,
