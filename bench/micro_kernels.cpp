@@ -1,19 +1,28 @@
 // google-benchmark micro kernels: GEMM, masked softmax, layer norm, GELU,
 // the two attention execution paths (pure full-row vs slotted) on identical
-// payloads, and a full encoder layer at BERT-base dimensions. These quantify
+// payloads, a full encoder layer at BERT-base dimensions, a continuous-
+// batching splice, and the thread pool's fork-join cost. These quantify
 // the kernel-level redundancy the slotted scheme removes, independent of any
 // serving dynamics. The *Ref variants run the naive scalar reference kernels
 // (src/tensor/kernel_ref.hpp) so the blocked/SIMD speedup is visible in the
 // same JSON report.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "batching/packed_batch.hpp"
+#include "batching/slotted_batcher.hpp"
 #include "nn/attention.hpp"
 #include "nn/encoder.hpp"
+#include "nn/model.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/kernel_ref.hpp"
 #include "tensor/ops.hpp"
 #include "util/env.hpp"
@@ -262,8 +271,10 @@ void BM_AttentionPureRef(benchmark::State& state) {
 BENCHMARK(BM_AttentionPureRef)->Arg(4)->ArgName("segments");
 
 /// Full encoder layer (attention + FFN + two layer norms) at BERT-base
-/// dimensions: d_model 768, 12 heads, d_ff 3072. The widths 128/256 bracket
-/// the concatenated-row sizes the serving experiments use.
+/// dimensions: d_model 768, 12 heads, d_ff 3072, through the row-split
+/// encode_in_place the model runs (each iteration also copies the input,
+/// since the layer overwrites it). The widths 128/256 bracket the
+/// concatenated-row sizes the serving experiments use.
 void BM_EncoderLayer(benchmark::State& state) {
   const Index width = state.range(0);
   ModelConfig cfg;
@@ -284,14 +295,87 @@ void BM_EncoderLayer(benchmark::State& state) {
     row.segments.push_back(Segment{s, s * z, z, 0});
   row.width = width;
   plan.rows.push_back(row);
+  const std::span<const EncoderLayer> layers(&layer, 1);
+  Tensor y;
   for (auto _ : state) {
-    const Tensor y = layer.forward(x, plan, Col{width},
-                                   AttentionMode::kPureConcat,
-                                   MaskPolicy::kSegment);
+    y = x;  // same-size copy-assign: reuses y's storage
+    encode_in_place(layers, y, plan, Col{width}, AttentionMode::kPureConcat,
+                    MaskPolicy::kSegment);
     benchmark::DoNotOptimize(y.raw());
   }
 }
 BENCHMARK(BM_EncoderLayer)->Arg(128)->Arg(256)->ArgName("width");
+
+/// One continuous-batching admission: DecodeSession::splice of a cohort of
+/// one `tokens`-token request into a vacated 50-column slot of a warmed
+/// ModelConfig{} slotted 8 x 100 session (mini-encode, then the encoder
+/// states and every decoder layer's cross K/V written into the span). The
+/// session decodes one step so every slot is released, and is rebuilt,
+/// untimed, once its 16 slots are used.
+void BM_Splice(benchmark::State& state) {
+  const Index tokens = state.range(0);
+  static const Seq2SeqModel model{ModelConfig{}};
+  const ModelConfig& cfg = model.config();
+  constexpr Index kSlot = 50;
+  Rng rng(11);
+  const auto request = [&](RequestId id, Index len) {
+    Request r;
+    r.id = id;
+    r.length = len;
+    for (Index t = 0; t < len; ++t)
+      r.tokens.push_back(rng.uniform_int(kFirstWordToken, cfg.vocab_size - 1));
+    return r;
+  };
+  std::vector<Request> reqs;
+  for (RequestId id = 0; id < 16; ++id)
+    reqs.push_back(request(id, rng.uniform_int(20, kSlot)));
+  const SlottedConcatBatcher batcher(kSlot);
+  const BatchBuildResult built = batcher.build(reqs, Row{8}, Col{100});
+  InferenceOptions enc;
+  enc.mode = AttentionMode::kSlotted;
+  const EncoderMemory memory = model.encode(pack_batch(built.plan, reqs), enc);
+  DecodeOptions opts;
+  opts.mode = AttentionMode::kSlotted;
+  opts.max_steps = 1;  // one step finishes every track and frees every slot
+  opts.early_memory_cleaning = true;
+  const std::vector<Request> cohort = {request(100, tokens)};
+
+  std::unique_ptr<DecodeSession> session;
+  std::vector<SlotRelease> vacant;
+  for (auto _ : state) {
+    if (vacant.empty()) {
+      state.PauseTiming();
+      session = std::make_unique<DecodeSession>(model, memory, opts);
+      vacant = session->step().released;
+      state.ResumeTiming();
+    }
+    const SlotRelease rel = vacant.back();
+    vacant.pop_back();
+    session->splice(rel.row, rel.slot, rel.begin, rel.width, cohort);
+  }
+  state.SetItemsProcessed(state.iterations() * tokens);
+}
+BENCHMARK(BM_Splice)->Arg(20)->Arg(45)->ArgName("tokens");
+
+/// Fork-join cost of one parallel region: an empty 4-chunk parallel_for on
+/// a 3-worker pool, back to back (gap_us:0, workers still polling) and
+/// after an untimed 200 us idle gap (workers parked on the condition
+/// variable, so the region pays their wake-up).
+void BM_ForkJoin(benchmark::State& state) {
+  static ThreadPool pool(3);
+  const auto gap = std::chrono::microseconds(state.range(0));
+  const auto empty = [](std::size_t, std::size_t) {};
+  for (int i = 0; i < 16; ++i) pool.parallel_for(4, 1, empty);
+  for (auto _ : state) {
+    if (gap.count() > 0) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(gap);
+      state.ResumeTiming();
+    }
+    pool.parallel_for(4, 1, empty);
+  }
+}
+BENCHMARK(BM_ForkJoin)->Arg(0)->Arg(200)->ArgName("gap_us")->UseRealTime();
 
 /// L1d and L2 sizes of cpu0, read from sysfs; a level that cannot be read
 /// keeps its conservative fallback (32 KiB / 1 MiB).

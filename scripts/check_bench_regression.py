@@ -5,8 +5,16 @@ Compares per-benchmark real_time of a fresh google-benchmark run against a
 committed baseline (BENCH_kernels.json, possibly wrapped by run-bench.sh) and
 fails when any matching benchmark regressed by more than the threshold. The
 default gate covers the attention kernels plus the GEMM and whole-encoder-
-layer benches, so a blocking or fusion regression cannot hide behind a
-healthy attention number.
+layer benches and the continuous-batching splice, so a blocking, fusion or
+fork-join regression cannot hide behind a healthy attention number.
+
+Each benchmark is judged on its median: scripts/run-bench.sh runs every
+benchmark five times and keeps only the aggregates, and the gate reads the
+`_median` aggregate when a report carries one. A report without aggregates
+(a plain single run, or repetitions recorded without them) is judged on the
+median of its iteration runs, which for a single run is that run. One run
+per entry against one committed number could not tell a regression from a
+noisy neighbour on a shared VM.
 
 Benchmark numbers are only comparable on the machine they were recorded on,
 so the gate is conditional: the bench binary records the detected cache
@@ -26,7 +34,7 @@ or the iteration-level splicing machinery has regressed.
 Usage:
   scripts/check_bench_regression.py --baseline BENCH_kernels.json \
       --current bench-results/BENCH_kernels.json \
-      [--filter BM_Attention,BM_Matmul] [--threshold 0.25]
+      [--filter BM_Attention,BM_Matmul,BM_Splice] [--threshold 0.25]
   scripts/check_bench_regression.py --continuous-csv continuous_batching.csv \
       [--saturation-rate 200]
 
@@ -36,6 +44,7 @@ Exit codes: 0 pass/skip, 1 regression, 2 bad input.
 import argparse
 import csv
 import json
+import statistics
 import sys
 
 TIME_UNITS_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -56,6 +65,25 @@ def load_report(path):
 
 def real_time_ns(entry):
     return entry["real_time"] * TIME_UNITS_NS[entry.get("time_unit", "ns")]
+
+
+def gated_times(benches, prefixes):
+    """Maps each benchmark (run name) matching `prefixes` to the real_time,
+    in ns, the gate judges: its median aggregate when the report has one,
+    else the median of its iteration runs."""
+    medians, runs = {}, {}
+    for b in benches:
+        name = b.get("run_name", b["name"])
+        if not name.startswith(prefixes):
+            continue
+        aggregate = b.get("aggregate_name")
+        if aggregate == "median":
+            medians[name] = real_time_ns(b)
+        elif aggregate is None:
+            runs.setdefault(name, []).append(real_time_ns(b))
+    times = {name: statistics.median(v) for name, v in runs.items()}
+    times.update(medians)
+    return times
 
 
 def geometry(context):
@@ -115,9 +143,10 @@ def main():
     ap.add_argument("--baseline")
     ap.add_argument("--current")
     ap.add_argument("--filter",
-                    default="BM_Attention,BM_Matmul,BM_EncoderLayer",
+                    default="BM_Attention,BM_Matmul,BM_EncoderLayer,BM_Splice",
                     help="comma-separated benchmark name prefixes to gate "
-                         "(default: BM_Attention,BM_Matmul,BM_EncoderLayer)")
+                         "(default: BM_Attention,BM_Matmul,BM_EncoderLayer,"
+                         "BM_Splice)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max tolerated slowdown fraction (default: 0.25)")
     ap.add_argument("--continuous-csv",
@@ -162,11 +191,7 @@ def main():
         print("check_bench_regression: --filter matched no prefixes",
               file=sys.stderr)
         return 2
-    base_times = {
-        b["name"]: real_time_ns(b)
-        for b in base_benches
-        if b["name"].startswith(prefixes) and "aggregate_name" not in b
-    }
+    base_times = gated_times(base_benches, prefixes)
     if not base_times:
         print(f"check_bench_regression: no baseline benchmarks match "
               f"'{args.filter}'", file=sys.stderr)
@@ -174,12 +199,11 @@ def main():
 
     failures = []
     compared = 0
-    for entry in cur_benches:
-        name = entry["name"]
-        if name not in base_times or "aggregate_name" in entry:
+    for name, cur_ns in gated_times(cur_benches, prefixes).items():
+        if name not in base_times:
             continue
         compared += 1
-        base_ns, cur_ns = base_times[name], real_time_ns(entry)
+        base_ns = base_times[name]
         ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
         status = "FAIL" if ratio > 1.0 + args.threshold else "ok"
         print(f"  {status:4} {name}: {base_ns / 1e6:.3f} ms -> "

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the `release` preset and records the reproducible benchmark
-# baseline: kernel micro-benchmarks (bench/micro_kernels) into
-# BENCH_kernels.json and the end-to-end encoder path (bench/e2e_encoder)
-# into BENCH_e2e.json. Each file is the raw google-benchmark JSON wrapped
+# baseline: kernel micro-benchmarks (bench/micro_kernels, five repetitions
+# each, mean/median/stddev/cv aggregates kept) into BENCH_kernels.json and
+# the end-to-end encoder path (bench/e2e_encoder) into BENCH_e2e.json. Each file is the raw google-benchmark JSON wrapped
 # with machine metadata (CPU model, core count, git revision, UTC date) so a
 # committed baseline states exactly what it was measured on.
 #
@@ -71,9 +71,11 @@ if ! "$build_dir/bench/micro_kernels" --benchmark_list_tests=true \
   min_time_flag="--benchmark_min_time=${min_time}s"
 fi
 
-run_bench() {  # run_bench <binary> <raw-json-out>
-  "$1" "$min_time_flag" --benchmark_format=console \
-    --benchmark_out_format=json --benchmark_out="$2"
+run_bench() {  # run_bench <binary> <raw-json-out> [extra flags...]
+  local bin=$1 out=$2
+  shift 2
+  "$bin" "$min_time_flag" --benchmark_format=console \
+    --benchmark_out_format=json --benchmark_out="$out" "$@"
 }
 
 wrap_json() {  # wrap_json <raw-json> <final-json> <label>
@@ -122,8 +124,12 @@ mkdir -p "$out_dir"
 tmp_kernels=$(mktemp) tmp_e2e=$(mktemp)
 trap 'rm -f "$tmp_kernels" "$tmp_e2e"' EXIT
 
-echo "== micro kernels (min_time=${min_time}) =="
-run_bench "$build_dir/bench/micro_kernels" "$tmp_kernels"
+# Five repetitions per kernel, aggregates only: the regression gate
+# (scripts/check_bench_regression.py) judges each benchmark's median, which a
+# single run on a shared host cannot stand in for.
+echo "== micro kernels (min_time=${min_time}, 5 repetitions) =="
+run_bench "$build_dir/bench/micro_kernels" "$tmp_kernels" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 wrap_json "$tmp_kernels" "$out_dir/BENCH_kernels.json" micro_kernels
 
 echo "== end-to-end encoder (min_time=${min_time}) =="

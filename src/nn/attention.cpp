@@ -78,8 +78,6 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
                                            const BatchPlan& plan,
                                            Col width_col, AttentionMode mode,
                                            MaskPolicy mask) const {
-  // Unwrap the typed width once; everything below is deliberately raw index
-  // math on the flattened (rows * width, d) buffers.
   const Index width = width_col.value();
   const Index rows = static_cast<Index>(plan.rows.size());
   const Index d = n_heads_ * head_dim_;
@@ -93,6 +91,22 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   wq_.forward(x, q_tl);
   wk_.forward(x, k_tl);
   wv_.forward(x, v_tl);
+  attend(q_tl.raw(), k_tl.raw(), v_tl.raw(), plan, width_col, mode, mask,
+         heads_tl);
+  return wo_.forward(heads_tl);
+}
+
+void MultiHeadAttention::attend(const float* pq, const float* pk,
+                                const float* pv, const BatchPlan& plan,
+                                Col width_col, AttentionMode mode,
+                                MaskPolicy mask, Tensor& heads) const {
+  // Unwrap the typed width once; everything below is deliberately raw index
+  // math on the flattened (rows * width, d) buffers.
+  const Index width = width_col.value();
+  const Index rows = static_cast<Index>(plan.rows.size());
+  const Index d = n_heads_ * head_dim_;
+  if (mode == AttentionMode::kSlotted && plan.slot_len <= 0)
+    throw std::invalid_argument("attend: slotted mode needs slot_len");
 
   // Mask geometry, built once per (plan, width) and reused across every
   // layer and head of the batch (the per-forward rebuild used to dominate
@@ -100,16 +114,16 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
   // threading contract.
   const SegmentCache& sc = plan.segment_cache(width_col);
   TCB_CHECK(sc.row_count() == rows && sc.width() == width,
-            "encoder_forward: segment cache geometry mismatch");
+            "attend: segment cache geometry mismatch");
 
   const Shape out_shape{rows * width, d};
-  if (!(heads_tl.shape() == out_shape)) {
-    heads_tl = Tensor(out_shape);  // zero-initialized
+  if (!(heads.shape() == out_shape)) {
+    heads = Tensor(out_shape);  // zero-initialized
   } else if (mode == AttentionMode::kSlotted) {
     // Reused storage: slotted tasks never touch columns past a row's used
     // extent, so stale tail values from a previous forward must be cleared.
     // (Pure tasks cover every column, padding included — nothing to clear.)
-    float* p = heads_tl.raw();
+    float* p = heads.raw();
     for (Index r = 0; r < rows; ++r) {
       const Index used = plan.rows[static_cast<std::size_t>(r)].width;
       if (used >= width) continue;
@@ -123,17 +137,11 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
 
   const auto tasks = build_tasks(plan, width, mode, n_heads_);
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Bind raw pointers on the calling thread: the thread_local names above
-  // would re-resolve to a *worker's* (empty) tensors inside the lambda.
-  const float* pq = q_tl.raw();
-  const float* pk = k_tl.raw();
-  const float* pv = v_tl.raw();
-  float* pout = heads_tl.raw();
+  float* pout = heads.raw();
   const Index dh = head_dim_;
 
-  parallel_for(tasks.size(), [&, pq, pk, pv,
-                              pout](std::size_t begin_task,
-                                    std::size_t end_task) {
+  parallel_for(tasks.size(), [&](std::size_t begin_task,
+                                 std::size_t end_task) {
     // Flash-style tiled kernel (paper Eq. 5-6 fused into the score pass,
     // plus FlashAttention's online softmax): scores exist only one kTile
     // strip at a time, in L1. Per key tile the kernel keeps a running max m,
@@ -258,8 +266,6 @@ Tensor MultiHeadAttention::encoder_forward(const Tensor& x,
       }
     }
   });
-
-  return wo_.forward(heads_tl);
 }
 
 Tensor MultiHeadAttention::encoder_forward_reference(const Tensor& x,

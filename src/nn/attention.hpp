@@ -61,6 +61,16 @@ class MultiHeadAttention {
                                        MaskPolicy mask = MaskPolicy::kSegment)
       const TCB_BITWISE;
 
+  /// The kernel encoder_forward runs between its projections: the per-head
+  /// attention outputs (before W^O) of already-projected q, k and v, each
+  /// (rows * width, d_model) dense, into `heads` (resized to that shape;
+  /// padding queries and columns no task covers are zeros). One
+  /// parallel_for over the (row, span, head) tasks. Seq2SeqModel::encode
+  /// calls it between its row-split projection regions.
+  void attend(const float* q, const float* k, const float* v,
+              const BatchPlan& plan, Col width, AttentionMode mode,
+              MaskPolicy mask, Tensor& heads) const TCB_BITWISE;
+
   /// The pre-optimization execution: materializes every task's full w x w
   /// score matrix, masks it in a second sweep, then runs softmax and the
   /// value product with scalar loops (paper Fig. 6 literally). Kept as the

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "batching/packed_batch.hpp"
+#include "nn/encoder.hpp"
 #include "nn/model.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -605,37 +606,35 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
   enc_opts.mask_policy = opts_.mask_policy;
   const PackedBatch packed = pack_batch(mini, reqs);
 
-  // The mini-encode and the cross-K/V projections run as one region on this
-  // thread: a single-chunk parallel_for runs every op they nest inline. A
-  // splice is a few dozen rows, where each op's own fork-join costs more
-  // than its split saves (DESIGN.md §15). Numerics are unchanged — every
-  // kernel keeps its per-row chain however it is split.
-  parallel_for(1, [&](std::size_t, std::size_t) {
-    const EncoderMemory mini_mem = model_.encode(packed, enc_opts);
-    TCB_CHECK(mini_mem.width.value() == total_len,
-              "splice: mini-encode width mismatch");
+  const EncoderMemory mini_mem = model_.encode(packed, enc_opts);
+  TCB_CHECK(mini_mem.width.value() == total_len,
+            "splice: mini-encode width mismatch");
 
-    // Overwrite the vacated span's encoder states and per-layer cross K/V.
-    // Stale columns beyond total_len are never read: cross-attention walks
-    // exactly each track's [src_offset, src_offset + src_len).
-    const std::size_t d = static_cast<std::size_t>(model_.config().d_model);
-    const std::size_t dest_base = flat_offset(row, begin, memory_.width);
-    for (Index c = 0; c < total_len; ++c) {
-      std::memcpy(memory_.states.row(static_cast<Index>(dest_base) + c),
-                  mini_mem.states.row(c), d * sizeof(float));
-    }
-    const auto& layers = model_.decoder_layers();
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      const Tensor ck = layers[l].cross_attn().wk().forward(mini_mem.states);
-      const Tensor cv = layers[l].cross_attn().wv().forward(mini_mem.states);
-      for (Index c = 0; c < total_len; ++c) {
-        std::memcpy(states_[l].cross_k.row(static_cast<Index>(dest_base) + c),
-                    ck.row(c), d * sizeof(float));
-        std::memcpy(states_[l].cross_v.row(static_cast<Index>(dest_base) + c),
-                    cv.row(c), d * sizeof(float));
-      }
-    }
-  });
+  // Write the cohort's encoder states and every layer's cross K/V straight
+  // into the vacated span — contiguous rows of the batch — as one more
+  // row-split region. Stale columns beyond total_len are never read:
+  // cross-attention walks exactly each track's [src_offset, src_offset +
+  // src_len).
+  const Index d = model_.config().d_model;
+  const Index dest_base =
+      static_cast<Index>(flat_offset(row, begin, memory_.width));
+  const auto& layers = model_.decoder_layers();
+  float* states = memory_.states.row(dest_base);
+  parallel_for(
+      static_cast<std::size_t>(total_len),
+      [&](std::size_t b, std::size_t e) {
+        const auto first = static_cast<Index>(b);
+        const auto m = static_cast<Index>(e - b);
+        const float* src = mini_mem.states.row(first);
+        std::memcpy(states + first * d, src,
+                    static_cast<std::size_t>(m * d) * sizeof(float));
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+          const MultiHeadAttention& cross = layers[l].cross_attn();
+          cross.wk().forward(src, m, states_[l].cross_k.row(dest_base + first));
+          cross.wv().forward(src, m, states_[l].cross_v.row(dest_base + first));
+        }
+      },
+      static_cast<std::size_t>(kEncoderChunkRows));
 
   // Admit one fresh track per request; together they form a new group over
   // the span, so their self-attention group is exactly the spliced cohort.

@@ -12,6 +12,11 @@ class FeedForward {
   FeedForward() = default;
   FeedForward(const ModelConfig& cfg, Rng& rng);
 
+  /// Inner width (d_ff): the row length of forward()'s `hidden` scratch.
+  [[nodiscard]] Index hidden_features() const noexcept {
+    return lin1_.out_features();
+  }
+
   /// x: (m, d_model) -> (m, d_model). Purely row-wise: concat-invariant.
   [[nodiscard]] Tensor forward(const Tensor& x) const TCB_BITWISE;
   /// Raw-pointer form over m dense rows: x (m, d_model) -> y (m, d_model),

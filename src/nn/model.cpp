@@ -11,7 +11,9 @@ Seq2SeqModel::Seq2SeqModel(ModelConfig cfg) : cfg_(cfg) {
   Rng rng(cfg_.seed);
   embedding_ = Embedding(cfg_.vocab_size, cfg_.d_model, rng);
   pe_ = SinusoidalPositionalEncoding(cfg_.max_len, cfg_.d_model);
-  encoder_ = Encoder(cfg_, rng);
+  encoder_layers_.reserve(static_cast<std::size_t>(cfg_.n_encoder_layers));
+  for (Index l = 0; l < cfg_.n_encoder_layers; ++l)
+    encoder_layers_.emplace_back(cfg_, rng);
   decoder_layers_.reserve(static_cast<std::size_t>(cfg_.n_decoder_layers));
   for (Index l = 0; l < cfg_.n_decoder_layers; ++l)
     decoder_layers_.emplace_back(cfg_, rng);
@@ -38,9 +40,9 @@ EncoderMemory Seq2SeqModel::encode(const PackedBatch& batch,
   else
     pe_.add_traditional(x, batch.rows(), batch.width());
 
-  Tensor states = encoder_.forward(x, batch.plan, batch.width(), opts.mode,
-                                   opts.mask_policy);
-  return EncoderMemory{std::move(states), batch.plan, batch.width()};
+  encode_in_place(encoder_layers_, x, batch.plan, batch.width(), opts.mode,
+                  opts.mask_policy);
+  return EncoderMemory{std::move(x), batch.plan, batch.width()};
 }
 
 InferenceResult Seq2SeqModel::infer(const PackedBatch& batch,

@@ -58,7 +58,8 @@ class Seq2SeqModel {
     return cfg_;
   }
 
-  /// Runs the encoder stack over a packed batch.
+  /// Runs the encoder stack over a packed batch: embedding + PE, then
+  /// encode_in_place's row-split regions (nn/encoder.hpp).
   /// TCB_BITWISE under the default options (separate positional encoding +
   /// segment mask): a request's encoded states are identical whatever rides
   /// alongside it. The traditional-PE / row-shared fallbacks break that by
@@ -93,7 +94,7 @@ class Seq2SeqModel {
   ModelConfig cfg_;
   Embedding embedding_;
   SinusoidalPositionalEncoding pe_;
-  Encoder encoder_;
+  std::vector<EncoderLayer> encoder_layers_;
   std::vector<DecoderLayer> decoder_layers_;
   Linear output_proj_;
 };

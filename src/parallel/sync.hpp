@@ -153,7 +153,7 @@ class CondVar {
 ///
 /// i.e. the admission queue's lock is acquired before (never inside) any
 /// batch-formation lock, which precedes the execution ledger, which
-/// precedes the thread-pool queue lock, with the pool's completion latch
+/// precedes the thread-pool queue lock, with the pool's region error slot
 /// innermost. The anchors are zero-cost: never locked, and `inline` vars
 /// of an empty-beyond-std::mutex type.
 namespace lock_order {

@@ -18,7 +18,9 @@
 // allocation on any thread other than the coordinating one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -211,6 +213,46 @@ TEST_F(DecodeSliceTest, SplicedBatchMatchesSoloBitwise) {
   expect_matches_solo(model_, batched, late, opts);
 }
 
+TEST_F(DecodeSliceTest, SplicedCohortsAtChunkBoundariesMatchSoloBitwise) {
+  // Cohorts sized around the encoder's row chunks (kEncoderChunkRows rows at
+  // least, at most parallelism() chunks): 2 rows, fewer than the pool has
+  // threads; 13 rows, which 4 chunks do not divide evenly; 17 and 27.
+  // Requests of one cohort share id / 10 and are spliced together.
+  const auto reqs = make_requests(4, 3, 30, cfg_, 41);
+  const SlottedConcatBatcher batcher(/*slot_len=*/30);
+  const auto built = batcher.build(reqs, Row{2}, Col{60});
+  ASSERT_TRUE(built.leftover.empty());
+  const DecodeOptions opts = serving_options(AttentionMode::kSlotted);
+  InferenceOptions enc;
+  enc.mode = opts.mode;
+  std::vector<Request> late;
+  const std::vector<std::vector<Index>> cohorts = {{2}, {5, 8}, {17}, {9, 9, 9}};
+  for (std::size_t c = 0; c < cohorts.size(); ++c)
+    for (std::size_t i = 0; i < cohorts[c].size(); ++i) {
+      auto one = make_requests(1, cohorts[c][i], cohorts[c][i], cfg_,
+                               43 + 7 * c + i,
+                               static_cast<RequestId>(100 + 10 * c + i));
+      late.push_back(std::move(one.front()));
+    }
+  const DecodeRecord batched = run_session(
+      model_, model_.encode(pack_batch(built.plan, reqs), enc), opts, late,
+      [](DecodeSession& session, const DecodeStepOutcome& outcome,
+         std::vector<Request>& pending) {
+        for (const SlotRelease& rel : outcome.released) {
+          if (pending.empty()) return;
+          const RequestId key = pending.front().id / 10;
+          std::vector<Request> cohort;
+          while (!pending.empty() && pending.front().id / 10 == key) {
+            cohort.push_back(pending.front());
+            pending.erase(pending.begin());
+          }
+          session.splice(rel.row, rel.slot, rel.begin, rel.width, cohort);
+        }
+      });
+  expect_matches_solo(model_, batched, reqs, opts);
+  expect_matches_solo(model_, batched, late, opts);
+}
+
 TEST_F(DecodeSliceTest, WarmStepAllocatesNothingOnPoolThreads) {
   tl_coordinator = true;
   const auto reqs = make_requests(24, 3, 20, cfg_, 37);
@@ -243,6 +285,74 @@ TEST_F(DecodeSliceTest, WarmStepAllocatesNothingOnPoolThreads) {
       << "decode steps allocated on pool threads (pool parallelism "
       << ThreadPool::global().parallelism() << ")";
 }
+
+
+/// One encode geometry: a single request of `tokens` tokens, or (when
+/// `slot_len` > 0) a slotted 8 x 100 batch with padding in every row.
+struct EncodeCase {
+  Index tokens;
+  Index slot_len;
+};
+
+void PrintTo(const EncodeCase& c, std::ostream* os) {
+  if (c.slot_len > 0)
+    *os << "slotted8x100_z" << c.slot_len;
+  else
+    *os << "T" << c.tokens;
+}
+
+class EncodeRowSplitTest : public ::testing::TestWithParam<EncodeCase> {};
+
+// Seq2SeqModel::encode against the same encode run inside a one-chunk
+// region, where every op it nests runs inline on the calling thread — the
+// TCB_THREADS=1 execution. Under TCB_THREADS=4 the plain call splits its
+// rows across the pool (kEncoderChunkRows at least per chunk), so the
+// token counts straddle the chunk boundaries.
+TEST_P(EncodeRowSplitTest, MatchesSerialEncodeBitwise) {
+  static const Seq2SeqModel model{ModelConfig{}};
+  const EncodeCase c = GetParam();
+  PackedBatch packed;
+  InferenceOptions opts;
+  if (c.slot_len > 0) {
+    const auto reqs = make_requests(40, 3, c.slot_len, model.config(), 53);
+    const SlottedConcatBatcher batcher(c.slot_len);
+    const auto built = batcher.build(reqs, Row{8}, Col{100});
+    ASSERT_TRUE(built.leftover.empty());
+    ASSERT_LT(built.plan.used_tokens(), 800) << "the batch needs padding";
+    packed = pack_batch(built.plan, reqs);
+    opts.mode = AttentionMode::kSlotted;
+  } else {
+    const auto reqs = make_requests(1, c.tokens, c.tokens, model.config(), 59);
+    BatchPlan plan;
+    plan.scheme = Scheme::kConcatPure;
+    plan.row_capacity = c.tokens;
+    RowLayout row;
+    row.width = c.tokens;
+    row.segments.push_back(Segment{reqs[0].id, 0, c.tokens, 0});
+    plan.rows.push_back(row);
+    packed = pack_batch(plan, reqs);
+  }
+  const EncoderMemory split = model.encode(packed, opts);
+  EncoderMemory serial;
+  parallel_for(1, [&](std::size_t, std::size_t) {
+    serial = model.encode(packed, opts);
+  });
+  ASSERT_EQ(split.states.shape(), serial.states.shape());
+  EXPECT_TRUE(std::equal(split.states.data().begin(), split.states.data().end(),
+                         serial.states.data().begin(),
+                         [](float a, float b) {
+                           return std::bit_cast<std::uint32_t>(a) ==
+                                  std::bit_cast<std::uint32_t>(b);
+                         }))
+      << "row-split encode differs from the serial encode (pool parallelism "
+      << ThreadPool::global().parallelism() << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EncodeRowSplitTest,
+    ::testing::Values(EncodeCase{1, 0}, EncodeCase{3, 0}, EncodeCase{4, 0},
+                      EncodeCase{5, 0}, EncodeCase{17, 0}, EncodeCase{64, 0},
+                      EncodeCase{65, 0}, EncodeCase{0, 20}));
 
 }  // namespace
 }  // namespace tcb

@@ -2,67 +2,52 @@
 
 #include <gtest/gtest.h>
 
-#include "batching/concat_batcher.hpp"
+#include "batching/packed_batch.hpp"
 #include "nn/model.hpp"
 #include "tensor/ops.hpp"
 
 namespace tcb {
 namespace {
 
-TEST(EncoderTest, PreservesShape) {
-  const ModelConfig cfg = ModelConfig::test_scale();
-  Rng rng(1);
-  const Encoder enc(cfg, rng);
+/// One row holding one request of `len` random word tokens.
+PackedBatch one_request(Index len, const ModelConfig& cfg, std::uint64_t seed) {
+  Rng rng(seed);
+  Request req;
+  req.id = 0;
+  req.length = len;
+  for (Index t = 0; t < len; ++t)
+    req.tokens.push_back(rng.uniform_int(kFirstWordToken, cfg.vocab_size - 1));
   BatchPlan plan;
   plan.scheme = Scheme::kConcatPure;
-  plan.row_capacity = 8;
+  plan.row_capacity = len;
   RowLayout row;
-  row.width = 8;
-  row.segments.push_back(Segment{0, 0, 8, 0});
+  row.width = len;
+  row.segments.push_back(Segment{0, 0, len, 0});
   plan.rows.push_back(row);
-  Rng data(2);
-  const Tensor x = Tensor::random_uniform(Shape{8, cfg.d_model}, data, 1.0f);
-  const Tensor y = enc.forward(x, plan, Col{8}, AttentionMode::kPureConcat,
-                               MaskPolicy::kSegment);
-  EXPECT_EQ(y.shape(), x.shape());
+  return pack_batch(plan, {req});
+}
+
+TEST(EncoderTest, PreservesShape) {
+  const ModelConfig cfg = ModelConfig::test_scale();
+  const Seq2SeqModel model(cfg);
+  const EncoderMemory mem = model.encode(one_request(8, cfg, 2), {});
+  EXPECT_EQ(mem.states.shape(), (Shape{8, cfg.d_model}));
+  EXPECT_EQ(mem.width, Col{8});
 }
 
 TEST(EncoderTest, DeterministicForSameSeed) {
   const ModelConfig cfg = ModelConfig::test_scale();
-  Rng r1(5), r2(5);
-  const Encoder a(cfg, r1), b(cfg, r2);
-  BatchPlan plan;
-  plan.scheme = Scheme::kConcatPure;
-  plan.row_capacity = 4;
-  RowLayout row;
-  row.width = 4;
-  row.segments.push_back(Segment{0, 0, 4, 0});
-  plan.rows.push_back(row);
-  Rng data(3);
-  const Tensor x = Tensor::random_uniform(Shape{4, cfg.d_model}, data, 1.0f);
-  const Tensor ya = a.forward(x, plan, Col{4}, AttentionMode::kPureConcat,
-                              MaskPolicy::kSegment);
-  const Tensor yb = b.forward(x, plan, Col{4}, AttentionMode::kPureConcat,
-                              MaskPolicy::kSegment);
-  EXPECT_EQ(max_abs_diff(ya, yb), 0.0f);
+  const Seq2SeqModel a(cfg), b(cfg);
+  const PackedBatch batch = one_request(4, cfg, 3);
+  EXPECT_EQ(max_abs_diff(a.encode(batch, {}).states, b.encode(batch, {}).states),
+            0.0f);
 }
 
 TEST(EncoderTest, OutputIsLayerNormalized) {
   // Post-LN architecture: each output row has ~zero mean, ~unit variance.
   const ModelConfig cfg = ModelConfig::test_scale();
-  Rng rng(7);
-  const Encoder enc(cfg, rng);
-  BatchPlan plan;
-  plan.scheme = Scheme::kConcatPure;
-  plan.row_capacity = 6;
-  RowLayout row;
-  row.width = 6;
-  row.segments.push_back(Segment{0, 0, 6, 0});
-  plan.rows.push_back(row);
-  Rng data(8);
-  const Tensor x = Tensor::random_uniform(Shape{6, cfg.d_model}, data, 1.0f);
-  const Tensor y = enc.forward(x, plan, Col{6}, AttentionMode::kPureConcat,
-                               MaskPolicy::kSegment);
+  const Seq2SeqModel model(cfg);
+  const Tensor y = model.encode(one_request(6, cfg, 8), {}).states;
   for (Index i = 0; i < 6; ++i) {
     float mean = 0.0f;
     for (Index j = 0; j < cfg.d_model; ++j) mean += y.at(i, j);

@@ -10,7 +10,12 @@ namespace {
 
 class TensorIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "tcb_tensor_io_test.bin";
+  // One file per test case: ctest runs the cases as concurrent processes,
+  // and a shared path let one case's TearDown delete another's file.
+  std::string path_ =
+      ::testing::TempDir() + "tcb_tensor_io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

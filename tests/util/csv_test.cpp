@@ -18,7 +18,12 @@ std::string slurp(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "tcb_csv_test.csv";
+  // One file per test case: ctest runs the cases as concurrent processes,
+  // and a shared path let one case's TearDown delete another's file.
+  std::string path_ =
+      ::testing::TempDir() + "tcb_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
