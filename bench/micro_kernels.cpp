@@ -1,7 +1,8 @@
 // google-benchmark micro kernels: GEMM, masked softmax, layer norm, GELU,
 // the two attention execution paths (pure full-row vs slotted) on identical
 // payloads, a full encoder layer at BERT-base dimensions, a continuous-
-// batching splice, and the thread pool's fork-join cost. These quantify
+// batching splice, a decode step of a long-spliced session, and the thread
+// pool's fork-join cost. These quantify
 // the kernel-level redundancy the slotted scheme removes, independent of any
 // serving dynamics. The *Ref variants run the naive scalar reference kernels
 // (src/tensor/kernel_ref.hpp) so the blocked/SIMD speedup is visible in the
@@ -10,8 +11,10 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -356,6 +359,82 @@ void BM_Splice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tokens);
 }
 BENCHMARK(BM_Splice)->Arg(20)->Arg(45)->ArgName("tokens");
+
+/// A ModelConfig{} slotted 8 x 100 session in slots of 20: 40 formation
+/// requests of 3-20 tokens, each decoding up to its source length, and one
+/// fresh request spliced into every slot a step releases.
+class SplicingSession {
+ public:
+  explicit SplicingSession(const Seq2SeqModel& model) : model_(model) {
+    std::vector<Request> reqs;
+    for (int i = 0; i < 40; ++i)
+      reqs.push_back(request(rng_.uniform_int(3, kSlot)));
+    const BatchBuildResult built =
+        SlottedConcatBatcher(kSlot).build(reqs, Row{8}, Col{100});
+    DecodeOptions opts;
+    opts.mode = AttentionMode::kSlotted;
+    opts.max_steps = 32;
+    opts.cap_at_source_length = true;
+    opts.early_memory_cleaning = true;
+    InferenceOptions enc;
+    enc.mode = opts.mode;
+    session_ = std::make_unique<DecodeSession>(
+        model_, model_.encode(pack_batch(built.plan, reqs), enc), opts);
+  }
+
+  /// One decoder iteration; returns the slots it released.
+  std::vector<SlotRelease> step() { return session_->step().released; }
+  /// Splices one fresh request into each released slot.
+  void refill(const std::vector<SlotRelease>& released) {
+    for (const SlotRelease& rel : released)
+      session_->splice(rel.row, rel.slot, rel.begin, rel.width,
+                       {request(rng_.uniform_int(3, rel.width))});
+    splices_ += released.size();
+  }
+  [[nodiscard]] std::size_t splices() const noexcept { return splices_; }
+
+ private:
+  static constexpr Index kSlot = 20;
+
+  Request request(Index length) {
+    Request r;
+    r.id = next_id_++;
+    r.length = length;
+    for (Index t = 0; t < length; ++t)
+      r.tokens.push_back(
+          rng_.uniform_int(kFirstWordToken, model_.config().vocab_size - 1));
+    return r;
+  }
+
+  const Seq2SeqModel& model_;
+  Rng rng_{13};
+  RequestId next_id_ = 0;
+  std::unique_ptr<DecodeSession> session_;
+  std::size_t splices_ = 0;
+};
+
+/// One decode step of a SplicingSession that has already absorbed `splices`
+/// splices (each session is built once per process and keeps running across
+/// repetitions); the refill after each step is untimed. Per-step cost must
+/// not grow with the tracks a session has ever admitted, so splices:10000
+/// should read like splices:0.
+void BM_DecodeStep(benchmark::State& state) {
+  static const Seq2SeqModel model{ModelConfig{}};
+  static std::map<std::int64_t, std::unique_ptr<SplicingSession>> sessions;
+  auto& session = sessions[state.range(0)];
+  if (!session) {
+    session = std::make_unique<SplicingSession>(model);
+    while (session->splices() < static_cast<std::size_t>(state.range(0)))
+      session->refill(session->step());
+  }
+  for (auto _ : state) {
+    const std::vector<SlotRelease> released = session->step();
+    state.PauseTiming();
+    session->refill(released);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_DecodeStep)->Arg(0)->Arg(10000)->ArgName("splices");
 
 /// Fork-join cost of one parallel region: an empty 4-chunk parallel_for on
 /// a 3-worker pool, back to back (gap_us:0, workers still polling) and

@@ -34,7 +34,7 @@ or the iteration-level splicing machinery has regressed.
 Usage:
   scripts/check_bench_regression.py --baseline BENCH_kernels.json \
       --current bench-results/BENCH_kernels.json \
-      [--filter BM_Attention,BM_Matmul,BM_Splice] [--threshold 0.25]
+      [--filter BM_Attention,BM_Matmul,BM_DecodeStep] [--threshold 0.25]
   scripts/check_bench_regression.py --continuous-csv continuous_batching.csv \
       [--saturation-rate 200]
 
@@ -143,10 +143,11 @@ def main():
     ap.add_argument("--baseline")
     ap.add_argument("--current")
     ap.add_argument("--filter",
-                    default="BM_Attention,BM_Matmul,BM_EncoderLayer,BM_Splice",
+                    default="BM_Attention,BM_Matmul,BM_EncoderLayer,"
+                            "BM_Splice,BM_DecodeStep",
                     help="comma-separated benchmark name prefixes to gate "
                          "(default: BM_Attention,BM_Matmul,BM_EncoderLayer,"
-                         "BM_Splice)")
+                         "BM_Splice,BM_DecodeStep)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max tolerated slowdown fraction (default: 0.25)")
     ap.add_argument("--continuous-csv",

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds the `release` preset and records the reproducible benchmark
-# baseline: kernel micro-benchmarks (bench/micro_kernels, five repetitions
-# each, mean/median/stddev/cv aggregates kept) into BENCH_kernels.json and
-# the end-to-end encoder path (bench/e2e_encoder) into BENCH_e2e.json. Each file is the raw google-benchmark JSON wrapped
-# with machine metadata (CPU model, core count, git revision, UTC date) so a
-# committed baseline states exactly what it was measured on.
+# baseline: micro-benchmarks (bench/micro_kernels, five repetitions each,
+# mean/median/stddev/cv aggregates kept) into BENCH_kernels.json, the raw
+# google-benchmark JSON wrapped with machine metadata (CPU model, core
+# count, git revision, UTC date) so a committed baseline states exactly what
+# it was measured on.
 #
 # Usage:
 #   scripts/run-bench.sh [--smoke] [--min-time SECS] [--before FILE]
@@ -16,7 +16,7 @@
 #   --before FILE     embed a pre-change google-benchmark JSON under the
 #                     "before" key of BENCH_kernels.json so the speedup the
 #                     change delivered stays recorded next to the new numbers
-#   --out-dir DIR     where to write BENCH_*.json (default: repo root)
+#   --out-dir DIR     where to write BENCH_kernels.json (default: repo root)
 #   --build-dir DIR   reuse an existing release build tree
 #                     (default: build-release, the preset's binaryDir)
 set -euo pipefail
@@ -58,8 +58,7 @@ case "$build_type" in
     ;;
 esac
 
-cmake --build "$build_dir" -j "$(nproc)" --target micro_kernels e2e_encoder \
-  >/dev/null
+cmake --build "$build_dir" -j "$(nproc)" --target micro_kernels >/dev/null
 
 # google-benchmark changed the --benchmark_min_time syntax: up to 1.7 it is a
 # plain double ("0.2"), from 1.8 it requires a unit suffix ("0.2s"). Probe
@@ -121,8 +120,8 @@ EOF
 }
 
 mkdir -p "$out_dir"
-tmp_kernels=$(mktemp) tmp_e2e=$(mktemp)
-trap 'rm -f "$tmp_kernels" "$tmp_e2e"' EXIT
+tmp_kernels=$(mktemp)
+trap 'rm -f "$tmp_kernels"' EXIT
 
 # Five repetitions per kernel, aggregates only: the regression gate
 # (scripts/check_bench_regression.py) judges each benchmark's median, which a
@@ -131,7 +130,3 @@ echo "== micro kernels (min_time=${min_time}, 5 repetitions) =="
 run_bench "$build_dir/bench/micro_kernels" "$tmp_kernels" \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 wrap_json "$tmp_kernels" "$out_dir/BENCH_kernels.json" micro_kernels
-
-echo "== end-to-end encoder (min_time=${min_time}) =="
-run_bench "$build_dir/bench/e2e_encoder" "$tmp_e2e"
-wrap_json "$tmp_e2e" "$out_dir/BENCH_e2e.json" e2e_encoder

@@ -7,96 +7,60 @@
 namespace tcb {
 
 SlotAllocator::SlotAllocator(const BatchPlan& plan) {
-  MutexLock lock(mutex_);
   const bool slotted =
       plan.scheme == Scheme::kConcatSlotted && plan.slot_len > 0;
-  for (std::size_t r = 0; r < plan.rows.size(); ++r) {
-    const RowLayout& row = plan.rows[r];
-    if (row.width <= 0) continue;
-    const Index slot_count =
-        slotted ? (row.width + plan.slot_len - 1) / plan.slot_len : 1;
-    for (Index s = 0; s < slot_count; ++s) {
-      Entry e;
-      e.span.row = Row{static_cast<Index>(r)};
-      e.span.slot = Slot{s};
-      if (slotted) {
-        e.span.begin = Col{s * plan.slot_len};
-        e.span.width = std::min(plan.slot_len, row.width - s * plan.slot_len);
-      } else {
-        e.span.begin = Col{0};
-        e.span.width = row.width;
-      }
-      e.occupied = std::any_of(
-          row.segments.begin(), row.segments.end(), [&](const Segment& seg) {
-            return !slotted || seg.slot_index() == e.span.slot;
-          });
-      if (!e.occupied) free_list_.push_back(entries_.size());
-      entries_.push_back(e);
-    }
+  grid_ = slot_grid(plan, slotted);
+  for (std::size_t i = 0; i < grid_.size(); ++i) {
+    const auto& segs = plan.rows[grid_[i].row.usize()].segments;
+    if (std::none_of(segs.begin(), segs.end(), [&](const Segment& seg) {
+          return !slotted || seg.slot_index() == grid_[i].slot;
+        }))
+      free_list_.push_back(i);
   }
-  total_slots_ = static_cast<Index>(entries_.size());
-  stats_.total_slots = total_slots_;
-  stats_.occupied_slots = static_cast<Index>(
-      std::count_if(entries_.begin(), entries_.end(),
-                    [](const Entry& e) { return e.occupied; }));
 }
 
 std::size_t SlotAllocator::find(Row row, Slot slot) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i)
-    if (entries_[i].span.row == row && entries_[i].span.slot == slot) return i;
-  return entries_.size();
+  for (std::size_t i = 0; i < grid_.size(); ++i)
+    if (grid_[i].row == row && grid_[i].slot == slot) return i;
+  TCB_CHECK(false, "SlotAllocator: unknown slot");
+  return grid_.size();
 }
 
 bool SlotAllocator::release(Row row, Slot slot) {
-  MutexLock lock(mutex_);
   const std::size_t i = find(row, slot);
-  TCB_CHECK(i < entries_.size(), "SlotAllocator::release: unknown slot");
-  if (!entries_[i].occupied) return false;
-  entries_[i].occupied = false;
+  if (std::find(free_list_.begin(), free_list_.end(), i) != free_list_.end())
+    return false;
   free_list_.push_back(i);
-  stats_.occupied_slots -= 1;
-  stats_.releases += 1;
+  releases_ += 1;
   return true;
 }
 
 bool SlotAllocator::acquire(Row row, Slot slot) {
-  MutexLock lock(mutex_);
-  const std::size_t i = find(row, slot);
-  TCB_CHECK(i < entries_.size(), "SlotAllocator::acquire: unknown slot");
-  if (entries_[i].occupied) return false;
-  entries_[i].occupied = true;
-  free_list_.erase(std::remove(free_list_.begin(), free_list_.end(), i),
-                   free_list_.end());
-  stats_.occupied_slots += 1;
-  stats_.acquires += 1;
+  const auto it =
+      std::find(free_list_.begin(), free_list_.end(), find(row, slot));
+  if (it == free_list_.end()) return false;
+  free_list_.erase(it);
+  acquires_ += 1;
   return true;
 }
 
 std::vector<SlotSpan> SlotAllocator::vacant() const {
-  MutexLock lock(mutex_);
   std::vector<SlotSpan> out;
   out.reserve(free_list_.size());
-  for (const auto i : free_list_) out.push_back(entries_[i].span);
+  for (const auto i : free_list_) out.push_back(grid_[i]);
   return out;
 }
 
 Index SlotAllocator::max_span_width() const {
-  MutexLock lock(mutex_);
   Index widest = 0;
-  for (const auto& e : entries_) widest = std::max(widest, e.span.width);
+  for (const auto& span : grid_) widest = std::max(widest, span.width);
   return widest;
 }
 
-SlotAllocatorStats SlotAllocator::stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
-
 double SlotAllocator::occupied_fraction() const {
-  MutexLock lock(mutex_);
-  if (entries_.empty()) return 1.0;
-  return static_cast<double>(stats_.occupied_slots) /
-         static_cast<double>(entries_.size());
+  if (grid_.empty()) return 1.0;
+  return static_cast<double>(stats().occupied_slots) /
+         static_cast<double>(grid_.size());
 }
 
 }  // namespace tcb

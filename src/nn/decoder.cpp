@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
+#include "batching/concat_batcher.hpp"
 #include "batching/packed_batch.hpp"
 #include "nn/encoder.hpp"
 #include "nn/model.hpp"
@@ -80,57 +80,13 @@ Index sample_top_k(const float* logits, Index vocab, Index k,
 
 DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
                              DecodeOptions opts)
-    : model_(model), memory_(std::move(memory)), opts_(opts) {
-  const ModelConfig& cfg = model_.config();
-  slotted_ =
-      opts_.mode == AttentionMode::kSlotted && memory_.plan.slot_len > 0;
-  max_steps_ = std::min<Index>(opts_.max_steps, cfg.max_len);
-
-  // --- Build tracks and groups --------------------------------------------
-  for (std::size_t r = 0; r < memory_.plan.rows.size(); ++r) {
-    const auto& row = memory_.plan.rows[r];
-    for (std::size_t si = 0; si < row.segments.size(); ++si) {
-      const auto& seg = row.segments[si];
-      DecodeTrack t;
-      t.request_id = seg.request_id;
-      t.row = Row{static_cast<Index>(r)};
-      t.slot = seg.slot_index();
-      t.seg_index = static_cast<Index>(si);
-      t.src_offset = seg.begin_col();
-      t.src_len = seg.length;
-      tracks_.push_back(std::move(t));
-    }
-  }
-  active_tracks_ = tracks_.size();
-  if (tracks_.empty()) return;
-
-  {
-    std::unordered_map<Index, std::size_t> key_to_group;
-    group_of_.resize(tracks_.size());
-    for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      const Index key = tracks_[i].row.value() * (memory_.width.value() + 1) +
-                        (slotted_ ? tracks_[i].slot.value() : 0);
-      auto [it, inserted] = key_to_group.try_emplace(key, groups_.size());
-      if (inserted) {
-        Group g;
-        g.row = tracks_[i].row;
-        g.slot = slotted_ ? tracks_[i].slot : Slot{0};
-        const Index row_width =
-            memory_.plan.rows[static_cast<std::size_t>(g.row.value())].width;
-        if (slotted_) {
-          const Index z = memory_.plan.slot_len;
-          g.begin = Col{g.slot.value() * z};
-          g.width = std::min(z, row_width - g.begin.value());
-        } else {
-          g.begin = Col{0};
-          g.width = row_width;
-        }
-        groups_.push_back(std::move(g));
-      }
-      groups_[it->second].members.push_back(i);
-      group_of_[i] = it->second;
-    }
-  }
+    : model_(model),
+      memory_(std::move(memory)),
+      opts_(opts),
+      ledger_(memory_.plan, opts_.mode == AttentionMode::kSlotted) {
+  max_steps_ = std::min<Index>(opts_.max_steps, model_.config().max_len);
+  held_kv_bytes_.resize(ledger_.slot_count());
+  if (ledger_.done()) return;
 
   // Source mask geometry, shared with the encoder via the plan's cache.
   // Touched here, before any fan-out, per the cache's threading contract;
@@ -138,51 +94,87 @@ DecodeSession::DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
   [[maybe_unused]] const SegmentCache& src_cache =
       memory_.plan.segment_cache(memory_.width);
 
-  // --- Layer state: caches + precomputed cross K/V -------------------------
+  // --- Layer state: precomputed cross K/V ----------------------------------
   const auto& layers = model_.decoder_layers();
   states_.resize(layers.size());
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    states_[l].k_cache.resize(tracks_.size());
-    states_[l].v_cache.resize(tracks_.size());
     states_[l].cross_k = layers[l].cross_attn().wk().forward(memory_.states);
     states_[l].cross_v = layers[l].cross_attn().wv().forward(memory_.states);
   }
-  for (std::size_t i = 0; i < tracks_.size(); ++i) reserve_track(i);
-  next_token_.resize(tracks_.size());
-
-  // Per-request sampling streams: forked by request id so a request draws
-  // the same randomness no matter which batch it rides in.
   if (opts_.strategy == DecodeStrategy::kTopK) {
-    const Rng base(opts_.sample_seed);
-    track_rng_.reserve(tracks_.size());
-    for (const auto& track : tracks_)
-      track_rng_.push_back(
-          base.fork(static_cast<std::uint64_t>(track.request_id)));
     sample_scratch_.resize(ThreadPool::global().parallelism());
     for (auto& scratch : sample_scratch_) {
       scratch.best.reserve(static_cast<std::size_t>(opts_.top_k));
       scratch.weights.reserve(static_cast<std::size_t>(opts_.top_k));
     }
   }
-}
 
-void DecodeSession::reserve_track(std::size_t t) {
-  const auto cap = static_cast<std::size_t>(step_cap(tracks_[t]));
-  const auto d = static_cast<std::size_t>(model_.config().d_model);
-  tracks_[t].emitted.reserve(cap);
-  for (auto& st : states_) {
-    st.k_cache[t].reserve(cap * d);
-    st.v_cache[t].reserve(cap * d);
+  // --- One track per segment; handle i is the i-th segment in plan order --
+  std::size_t h = 0;
+  for (std::size_t r = 0; r < memory_.plan.rows.size(); ++r) {
+    const auto& row = memory_.plan.rows[r];
+    for (std::size_t si = 0; si < row.segments.size(); ++si) {
+      const auto& seg = row.segments[si];
+      bind_track(h++, {.request_id = seg.request_id,
+                       .row = Row{static_cast<Index>(r)},
+                       .slot = seg.slot_index(),
+                       .seg_index = static_cast<Index>(si),
+                       .src_offset = seg.begin_col(),
+                       .src_len = seg.length,
+                       .emitted = {}});
+    }
   }
 }
 
-DecodeSession::~DecodeSession() = default;
+void DecodeSession::bind_track(std::size_t h, DecodeTrack track) {
+  if (h == tracks_.size()) {
+    tracks_.emplace_back();
+    next_token_.push_back(0);
+    track_rng_.emplace_back();
+    for (auto& st : states_) {
+      st.k_cache.emplace_back();
+      st.v_cache.emplace_back();
+    }
+  } else {
+    flush_output(h);
+    for (auto& st : states_) {
+      st.k_cache[h].clear();
+      st.v_cache[h].clear();
+    }
+  }
+  tracks_[h] = std::move(track);
+  // Per-request sampling streams: forked by request id so a request draws
+  // the same randomness no matter which batch it rides in.
+  if (opts_.strategy == DecodeStrategy::kTopK)
+    track_rng_[h] = Rng(opts_.sample_seed)
+                        .fork(static_cast<std::uint64_t>(tracks_[h].request_id));
+  const auto cap = static_cast<std::size_t>(step_cap(tracks_[h]));
+  const auto d = static_cast<std::size_t>(model_.config().d_model);
+  tracks_[h].emitted.reserve(cap);
+  for (auto& st : states_) {
+    st.k_cache[h].reserve(cap * d);
+    st.v_cache[h].reserve(cap * d);
+  }
+}
 
-bool DecodeSession::done() const noexcept { return active_tracks_ == 0; }
+void DecodeSession::flush_output(std::size_t h) {
+  auto tokens = std::move(tracks_[h].emitted);
+  if (!tokens.empty() && tokens.back() == kEosToken) tokens.pop_back();
+  result_.outputs.emplace(tracks_[h].request_id, std::move(tokens));
+}
+
+bool DecodeSession::done() const noexcept { return ledger_.done(); }
 
 Index DecodeSession::step_cap(const DecodeTrack& t) const noexcept {
   return opts_.cap_at_source_length ? std::min(max_steps_, t.src_len)
                                     : max_steps_;
+}
+
+std::size_t DecodeSession::kv_bytes(std::size_t h) const noexcept {
+  std::size_t bytes = 0;
+  for (const auto& st : states_)
+    bytes += (st.k_cache[h].size() + st.v_cache[h].size()) * sizeof(float);
+  return bytes;
 }
 
 std::span<const float> DecodeSession::step_logits(std::size_t track) const {
@@ -195,32 +187,25 @@ std::span<const float> DecodeSession::step_logits(std::size_t track) const {
 }
 
 void DecodeSession::plan_slices(std::size_t parallelism) {
-  order_.clear();
-  group_start_.clear();
-  for (const Group& g : groups_) {
-    if (g.completed) continue;
-    group_start_.push_back(order_.size());
-    for (const auto m : g.members)
-      if (!tracks_[m].finished) order_.push_back(m);
-  }
   // Each group goes to the slice its midpoint falls in when the active rows
   // are split evenly `parallelism` ways: slices stay contiguous runs of whole
   // groups, balanced by rows, and a group is never split — its members'
   // self-attention reads each other's K/V, which only one thread may write.
-  const std::size_t rows = order_.size();
-  const std::size_t groups = group_start_.size();
+  const std::size_t rows = ledger_.unfinished();
   const std::size_t slices = std::min(std::max<std::size_t>(parallelism, 1),
-                                      groups);
+                                      ledger_.groups());
+  order_.clear();
   slice_begin_.clear();
   std::size_t last = slices;  // no slice open yet
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t begin = group_start_[g];
-    const std::size_t end = g + 1 < groups ? group_start_[g + 1] : rows;
+  ledger_.for_each_group([&](std::span<const std::size_t> group) {
+    const std::size_t begin = order_.size();
+    for (const auto h : group)
+      if (!ledger_.finished(h)) order_.push_back(h);
     const std::size_t slice =
-        std::min(slices - 1, (begin + end) * slices / (2 * rows));
+        std::min(slices - 1, (begin + order_.size()) * slices / (2 * rows));
     if (slice != last) slice_begin_.push_back(begin);
     last = slice;
-  }
+  });
   slice_begin_.push_back(rows);
 }
 
@@ -294,9 +279,9 @@ void DecodeSession::run_slice(std::size_t s, const SegmentCache& src_cache) {
 
     for (Index i = 0; i < m; ++i) {
       const std::size_t a = ids[i];
-      const Group& group = groups_[group_of_[a]];
+      const std::span<const std::size_t> group = ledger_.group(a);
       std::size_t total = 0;
-      for (const auto mem : group.members)
+      for (const auto mem : group)
         total += st.k_cache[mem].size() / static_cast<std::size_t>(d);
       // Score scratch, rewound per track (steady-state steps allocate
       // nothing).
@@ -309,7 +294,7 @@ void DecodeSession::run_slice(std::size_t s, const SegmentCache& src_cache) {
         // cross-request entries are computed, then masked (paper Eq. 5-6
         // applied step-wise).
         std::size_t idx = 0;
-        for (const auto mem : group.members) {
+        for (const auto mem : group) {
           const auto& kc = st.k_cache[mem];
           const std::size_t steps_m = kc.size() / static_cast<std::size_t>(d);
           // Additive mask: adding kMaskedOut to a score of ordinary
@@ -341,7 +326,7 @@ void DecodeSession::run_slice(std::size_t s, const SegmentCache& src_cache) {
         // a parallel pointer array (the arena only holds floats, and the
         // walk order is identical by construction).
         idx = 0;
-        for (const auto mem : group.members) {
+        for (const auto mem : group) {
           const auto& vc = st.v_cache[mem];
           const std::size_t steps_m = vc.size() / static_cast<std::size_t>(d);
           for (std::size_t t = 0; t < steps_m; ++t)
@@ -468,80 +453,45 @@ DecodeStepOutcome DecodeSession::step() {
     for (std::size_t s = begin; s < end; ++s) run_slice(s, src_cache);
   });
 
-  // ---- Track bookkeeping (coordinating thread, track order) --------------
+  // ---- Track bookkeeping and slot releases (coordinating thread) --------
   DecodeStepOutcome outcome;
-  for (std::size_t a = 0; a < tracks_.size(); ++a) {
-    DecodeTrack& track = tracks_[a];
-    if (track.finished) continue;
-    const Index token = next_token_[a];
-    track.emitted.push_back(token);
-    if (token == kEosToken ||
-        static_cast<Index>(track.emitted.size()) >= step_cap(track)) {
-      track.finished = true;
-      active_tracks_ -= 1;
-      outcome.finished.push_back(track.request_id);
-      // The track's caches stop growing now: these bytes are what an ideal
-      // per-request cleaner could reclaim from here on, whether or not the
-      // scheme's group-granular cleaning can.
-      std::size_t bytes = 0;
-      for (const auto& st : states_)
-        bytes += (st.k_cache[a].size() + st.v_cache[a].size()) * sizeof(float);
-      result_.reclaimable_kv_bytes += bytes;
-    }
-  }
-  // ---- Group completion: release events + early cleaning (§4.2.2) --------
-  for (auto& group : groups_) {
-    if (group.completed) continue;
-    const bool group_done =
-        std::all_of(group.members.begin(), group.members.end(),
-                    [&](std::size_t m) { return tracks_[m].finished; });
-    if (!group_done) continue;
-    group.completed = true;
-    SlotRelease rel;
-    rel.row = group.row;
-    rel.slot = group.slot;
-    rel.begin = group.begin;
-    rel.width = group.width;
-    for (const auto m : group.members)
-      rel.finished.push_back(tracks_[m].request_id);
-    outcome.released.push_back(std::move(rel));
-    if (slotted_ && opts_.early_memory_cleaning) release_group_kv(group);
-  }
+  ledger_.step(
+      [&](std::size_t h) {
+        DecodeTrack& track = tracks_[h];
+        const Index token = next_token_[h];
+        track.emitted.push_back(token);
+        if (token != kEosToken &&
+            static_cast<Index>(track.emitted.size()) < step_cap(track))
+          return false;
+        track.finished = true;
+        outcome.finished.push_back(track.request_id);
+        // The track's caches stop growing now: these bytes are what an ideal
+        // per-request cleaner could reclaim from here on, whether or not the
+        // scheme's group-granular cleaning can.
+        result_.reclaimable_kv_bytes += kv_bytes(h);
+        return true;
+      },
+      // Early cleaning (§4.2.2) frees the released slot's K/V now; otherwise
+      // it stays counted resident until a splice reuses the slot.
+      [&](std::size_t slot, std::span<const std::size_t> members) {
+        std::size_t bytes = 0;
+        for (const auto h : members) bytes += kv_bytes(h);
+        if (!ledger_.slotted() || !opts_.early_memory_cleaning) {
+          held_kv_bytes_[slot] = bytes;
+          return;
+        }
+        cur_kv_bytes_ -= bytes;
+        result_.early_freed_bytes += bytes;
+        // Swap with an empty vector: assigning {} would clear the cache but
+        // keep its step-cap reservation allocated until the handle is reused.
+        for (const auto h : members)
+          for (auto& st : states_) {
+            std::vector<float>().swap(st.k_cache[h]);
+            std::vector<float>().swap(st.v_cache[h]);
+          }
+      },
+      outcome.released);
   return outcome;
-}
-
-void DecodeSession::release_group_kv(Group& group) {
-  for (const auto m : group.members) {
-    for (auto& st : states_) {
-      const std::size_t bytes =
-          (st.k_cache[m].size() + st.v_cache[m].size()) * sizeof(float);
-      cur_kv_bytes_ -= bytes;
-      result_.early_freed_bytes += bytes;
-      // Swap with an empty vector: assigning {} would clear the cache but
-      // keep its step-cap reservation allocated until the session ends.
-      std::vector<float>().swap(st.k_cache[m]);
-      std::vector<float>().swap(st.v_cache[m]);
-    }
-  }
-  group.released = true;
-}
-
-void DecodeSession::append_track(DecodeTrack track, std::size_t group_index) {
-  tracks_.push_back(std::move(track));
-  active_tracks_ += 1;
-  group_of_.push_back(group_index);
-  groups_[group_index].members.push_back(tracks_.size() - 1);
-  for (auto& st : states_) {
-    st.k_cache.emplace_back();
-    st.v_cache.emplace_back();
-  }
-  reserve_track(tracks_.size() - 1);
-  next_token_.push_back(0);
-  if (opts_.strategy == DecodeStrategy::kTopK) {
-    const Rng base(opts_.sample_seed);
-    track_rng_.push_back(
-        base.fork(static_cast<std::uint64_t>(tracks_.back().request_id)));
-  }
 }
 
 void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
@@ -564,49 +514,36 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
   }
   TCB_CHECK(total_len <= width, "splice: requests overflow the slot span");
 
-  // The span must be vacant: any group occupying this (row, slot) has to
-  // have completed. Its caches — still resident when early cleaning is off
-  // or the scheme is unslotted — are dead the moment the slot is reused, so
-  // reclaim them now (they count as freed-before-batch-completion).
-  for (auto& group : groups_) {
-    if (group.row != row) continue;
-    if (slotted_ && group.slot != slot) continue;
-    TCB_CHECK(group.completed, "splice: slot still has live decode tracks");
-    if (!group.released) release_group_kv(group);
-  }
+  // The ledger rejects a slot with live tracks, then binds the cohort as a
+  // new group over the span. The previous group's caches — still counted
+  // when early cleaning is off or the scheme is unslotted — are dead the
+  // moment the slot is reused: they count as freed before batch completion.
+  std::vector<RequestId> ids;
+  ids.reserve(reqs.size());
+  for (const auto& req : reqs) ids.push_back(req.id);
+  const std::span<const std::size_t> handles =
+      ledger_.admit(row, slot, begin, width, ids);
+  std::size_t& held = held_kv_bytes_[ledger_.slot_index(row, slot)];
+  cur_kv_bytes_ -= held;
+  result_.early_freed_bytes += held;
+  held = 0;
 
   // Mini-encode the spliced requests alone, as one concatenated row. With
   // separate PE + segment mask each request's encoded states are bitwise
   // identical to a solo encode (Seq2SeqModel::encode's TCB_BITWISE
   // contract), so splicing cannot perturb any request's numerics.
-  BatchPlan mini;
-  mini.scheme = Scheme::kConcatPure;
-  mini.row_capacity = total_len;
-  mini.slot_len = 0;
-  RowLayout mini_row;
-  mini_row.width = total_len;
-  Index cursor = 0;
-  for (const auto& req : reqs) {
-    Segment seg;
-    seg.request_id = req.id;
-    seg.offset = cursor;
-    seg.length = req.length;
-    seg.slot = 0;
-    mini_row.segments.push_back(seg);
-    cursor += req.length;
-  }
-  mini.rows.push_back(std::move(mini_row));
+  const BatchPlan mini =
+      ConcatBatcher().build(reqs, Row{1}, Col{total_len}).plan;
 
-  InferenceOptions enc_opts;
   // Always encode the mini plan in pure-concat mode: the plan above carries
   // no slot grid (slot_len 0), and under separate PE + segment masking the
   // encode is bitwise identical to solo encodes in either mode anyway.
-  enc_opts.mode = AttentionMode::kPureConcat;
-  enc_opts.separate_positional_encoding = opts_.separate_positional_encoding;
-  enc_opts.mask_policy = opts_.mask_policy;
-  const PackedBatch packed = pack_batch(mini, reqs);
-
-  const EncoderMemory mini_mem = model_.encode(packed, enc_opts);
+  const InferenceOptions enc_opts{
+      .mode = AttentionMode::kPureConcat,
+      .separate_positional_encoding = opts_.separate_positional_encoding,
+      .mask_policy = opts_.mask_policy};
+  const EncoderMemory mini_mem =
+      model_.encode(pack_batch(mini, reqs), enc_opts);
   TCB_CHECK(mini_mem.width.value() == total_len,
             "splice: mini-encode width mismatch");
 
@@ -636,38 +573,25 @@ void DecodeSession::splice(Row row, Slot slot, Col begin, Index width,
       },
       static_cast<std::size_t>(kEncoderChunkRows));
 
-  // Admit one fresh track per request; together they form a new group over
-  // the span, so their self-attention group is exactly the spliced cohort.
-  const Slot group_slot = slotted_ ? slot : Slot{0};
-  Group g;
-  g.row = row;
-  g.slot = group_slot;
-  g.begin = begin;
-  g.width = width;
-  groups_.push_back(std::move(g));
-  const std::size_t group_index = groups_.size() - 1;
-  cursor = 0;
-  for (const auto& req : reqs) {
-    DecodeTrack t;
-    t.request_id = req.id;
-    t.row = row;
-    t.slot = group_slot;
-    t.seg_index = 0;  // not in the plan; unused for spliced tracks
-    t.src_offset = Col{begin.value() + cursor};
-    t.src_len = req.length;
-    t.spliced = true;
-    cursor += req.length;
-    append_track(std::move(t), group_index);
+  // One fresh track per request on the cohort's handles: their
+  // self-attention group is exactly the spliced cohort.
+  Index cursor = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    // seg_index: not in the plan; unused for spliced tracks.
+    bind_track(handles[i], {.request_id = reqs[i].id,
+                            .row = row,
+                            .slot = ledger_.slotted() ? slot : Slot{0},
+                            .src_offset = Col{begin.value() + cursor},
+                            .src_len = reqs[i].length,
+                            .emitted = {},
+                            .spliced = true});
+    cursor += reqs[i].length;
   }
 }
 
 DecodeResult DecodeSession::take_result() {
   TCB_CHECK(done(), "DecodeSession::take_result before completion");
-  for (auto& track : tracks_) {
-    auto tokens = std::move(track.emitted);
-    if (!tokens.empty() && tokens.back() == kEosToken) tokens.pop_back();
-    result_.outputs.emplace(track.request_id, std::move(tokens));
-  }
+  for (std::size_t h = 0; h < tracks_.size(); ++h) flush_output(h);
   return std::move(result_);
 }
 

@@ -6,7 +6,9 @@
 // group's cached keys / source span — exactly the redundant computation the
 // paper describes — and a segment mask removes the foreign contributions
 // before softmax. The slotted path's groups are smaller, which is where its
-// decoder-side saving comes from.
+// decoder-side saving comes from. Group membership, slot releases and track
+// handles live in a SlotLedger (batching/slot_ledger.hpp); the session keeps
+// each handle's payload.
 //
 // Decoding is driven through DecodeSession: one explicit step() per decoder
 // iteration over persistent per-track K/V cache state, so a batch can be
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "batching/request.hpp"
+#include "batching/slot_ledger.hpp"
 #include "nn/attention.hpp"
 #include "nn/feed_forward.hpp"
 #include "nn/model_config.hpp"
@@ -161,17 +164,6 @@ struct DecodeOptions {
   MaskPolicy mask_policy = MaskPolicy::kSegment;
 };
 
-/// A slot whose every track finished — vacated and ready for re-use by the
-/// continuous-batching coordinator. `begin`/`width` give the reusable column
-/// span of the row (the slot span under kSlotted, the whole row otherwise).
-struct SlotRelease {
-  Row row{0};
-  Slot slot{0};
-  Col begin{0};
-  Index width = 0;
-  std::vector<RequestId> finished;  ///< the requests that occupied it
-};
-
 /// What one decoder iteration produced, beyond the cached state.
 struct DecodeStepOutcome {
   /// Requests that emitted their final token during this iteration.
@@ -197,7 +189,7 @@ class DecodeSession {
   /// `model` must outlive the session; `memory` is consumed.
   DecodeSession(const Seq2SeqModel& model, EncoderMemory memory,
                 DecodeOptions opts);
-  ~DecodeSession();
+  ~DecodeSession() = default;
 
   DecodeSession(const DecodeSession&) = delete;
   DecodeSession& operator=(const DecodeSession&) = delete;
@@ -206,10 +198,16 @@ class DecodeSession {
   [[nodiscard]] bool done() const noexcept;
   /// Iterations run so far (== DecodeResult::steps at completion).
   [[nodiscard]] Index steps() const noexcept { return step_count_; }
-  /// Live tracks, formation-time and spliced, in admission order.
+  /// Tracks by ledger handle. A handle keeps its track readable until a
+  /// splice rebinds it; a free handle reads `finished == true`. The size is
+  /// the peak number of tracks held at once, not the number ever admitted.
   [[nodiscard]] const std::vector<DecodeTrack>& tracks() const noexcept
       TCB_LIFETIME_BOUND {
     return tracks_;
+  }
+  /// Group membership and admission order of the handles.
+  [[nodiscard]] const SlotLedger& ledger() const noexcept TCB_LIFETIME_BOUND {
+    return ledger_;
   }
   /// K/V bytes currently resident (for occupancy reporting).
   [[nodiscard]] std::size_t live_kv_bytes() const noexcept {
@@ -220,8 +218,8 @@ class DecodeSession {
   /// when done().
   DecodeStepOutcome step();
 
-  /// The vocabulary logits `track` got in the most recent step(); empty when
-  /// the track was not active in it (or no step has run).
+  /// The vocabulary logits the track at handle `track` got in the most
+  /// recent step(); empty when it was not active in it (or no step has run).
   [[nodiscard]] std::span<const float> step_logits(std::size_t track) const
       TCB_LIFETIME_BOUND;
 
@@ -229,9 +227,9 @@ class DecodeSession {
   /// encodes them alone (separate PE, segment mask — so their states are
   /// bitwise what any batch would produce), overwrites the span's encoder
   /// states and cross-K/V, and admits one fresh decode track per request as
-  /// a new group. The slot must have been released (or never occupied) and
-  /// the requests' total length must fit `width`. Requests must carry
-  /// tokens.
+  /// a new group, on handles freed by earlier releases where there are any.
+  /// The slot must have been released (or never occupied) and the requests'
+  /// total length must fit `width`. Requests must carry tokens.
   void splice(Row row, Slot slot, Col begin, Index width,
               const std::vector<Request>& reqs);
 
@@ -239,19 +237,9 @@ class DecodeSession {
   [[nodiscard]] DecodeResult take_result();
 
  private:
-  struct Group {
-    std::vector<std::size_t> members;  ///< track indices
-    Row row{0};
-    Slot slot{0};
-    Col begin{0};     ///< reusable span start (column)
-    Index width = 0;  ///< reusable span width
-    bool released = false;   ///< K/V caches freed (early cleaning)
-    bool completed = false;  ///< all members finished (release event fired)
-  };
-
   /// Per-decoder-layer mutable state.
   struct LayerState {
-    std::vector<std::vector<float>> k_cache;  ///< per track, [step][d]
+    std::vector<std::vector<float>> k_cache;  ///< per handle, [step][d]
     std::vector<std::vector<float>> v_cache;
     Tensor cross_k;  ///< (src_rows * src_width, d), computed once
     Tensor cross_v;
@@ -269,34 +257,34 @@ class DecodeSession {
   void plan_slices(std::size_t parallelism);
   /// Runs the whole step for slice `s` on the calling thread.
   void run_slice(std::size_t s, const SegmentCache& src_cache);
-  void append_track(DecodeTrack track, std::size_t group_index);
+  /// Binds handle `h` to `track` (a reused handle first hands its previous
+  /// track's tokens to the result) and reserves its emitted list and K/V
+  /// caches to the step cap: appends on pool threads never reallocate.
+  void bind_track(std::size_t h, DecodeTrack track);
+  /// Moves handle `h`'s emitted tokens into the result (EOS trimmed).
+  void flush_output(std::size_t h);
   /// Tokens track `t` may emit at most (its step cap).
   [[nodiscard]] Index step_cap(const DecodeTrack& t) const noexcept;
-  /// Reserves track `t`'s emitted list and per-layer K/V caches to its step
-  /// cap, so the per-step appends on pool threads never reallocate.
-  void reserve_track(std::size_t t);
-  /// Returns every member's K/V storage to the allocator and counts it as
-  /// freed before batch completion; marks the group released.
-  void release_group_kv(Group& group);
+  /// Bytes of handle `h`'s K/V caches.
+  [[nodiscard]] std::size_t kv_bytes(std::size_t h) const noexcept;
 
   const Seq2SeqModel& model_;
   EncoderMemory memory_;
   DecodeOptions opts_;
-  bool slotted_ = false;
+  SlotLedger ledger_;
   Index max_steps_ = 0;
-  std::vector<DecodeTrack> tracks_;
-  std::vector<Group> groups_;
-  std::vector<std::size_t> group_of_;  ///< track index -> group index
-  std::vector<LayerState> states_;     ///< one per decoder layer
-  std::vector<Rng> track_rng_;         ///< kTopK per-request streams
+  std::vector<DecodeTrack> tracks_;  ///< per handle
+  std::vector<LayerState> states_;   ///< one per decoder layer
+  std::vector<Rng> track_rng_;       ///< per handle, kTopK request streams
+  std::vector<Index> next_token_;    ///< per handle, written by slices
+  /// Per grid slot: K/V bytes of its released group still counted resident
+  /// (no early cleaning) until a splice reuses the slot.
+  std::vector<std::size_t> held_kv_bytes_;
   // Per-step slicing, rebuilt by plan_slices() on the coordinating thread.
-  std::vector<std::size_t> order_;        ///< active tracks, groups contiguous
-  std::vector<std::size_t> group_start_;  ///< order_ offset of each group
+  std::vector<std::size_t> order_;        ///< active handles, groups contiguous
   std::vector<std::size_t> slice_begin_;  ///< order_ offsets, slices + 1
-  std::vector<Index> next_token_;         ///< per track, written by slices
   std::vector<float> logits_;             ///< (order_.size(), vocab)
   std::vector<SampleScratch> sample_scratch_;  ///< one per slice (kTopK)
-  std::size_t active_tracks_ = 0;  ///< tracks not yet finished; done() at 0
   std::size_t cur_kv_bytes_ = 0;
   Index step_count_ = 0;
   DecodeResult result_;

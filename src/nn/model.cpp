@@ -6,6 +6,19 @@
 
 namespace tcb {
 
+DecodeOptions InferenceOptions::decode_options() const noexcept {
+  return {.mode = mode,
+          .max_steps = max_decode_steps,
+          .strategy = decode_strategy,
+          .top_k = top_k,
+          .temperature = temperature,
+          .sample_seed = sample_seed,
+          .early_memory_cleaning = early_memory_cleaning,
+          .cap_at_source_length = cap_decode_at_source_length,
+          .separate_positional_encoding = separate_positional_encoding,
+          .mask_policy = mask_policy};
+}
+
 Seq2SeqModel::Seq2SeqModel(ModelConfig cfg) : cfg_(cfg) {
   cfg_.validate();
   Rng rng(cfg_.seed);
@@ -48,18 +61,7 @@ EncoderMemory Seq2SeqModel::encode(const PackedBatch& batch,
 InferenceResult Seq2SeqModel::infer(const PackedBatch& batch,
                                     const InferenceOptions& opts) const {
   const EncoderMemory memory = encode(batch, opts);
-  DecodeOptions dopts;
-  dopts.mode = opts.mode;
-  dopts.max_steps = opts.max_decode_steps;
-  dopts.early_memory_cleaning = opts.early_memory_cleaning;
-  dopts.cap_at_source_length = opts.cap_decode_at_source_length;
-  dopts.strategy = opts.decode_strategy;
-  dopts.top_k = opts.top_k;
-  dopts.temperature = opts.temperature;
-  dopts.sample_seed = opts.sample_seed;
-  dopts.separate_positional_encoding = opts.separate_positional_encoding;
-  dopts.mask_policy = opts.mask_policy;
-  DecodeResult dec = greedy_decode(*this, memory, dopts);
+  DecodeResult dec = greedy_decode(*this, memory, opts.decode_options());
 
   InferenceResult out;
   out.outputs = std::move(dec.outputs);

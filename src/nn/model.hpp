@@ -39,6 +39,10 @@ struct InferenceOptions {
   Index top_k = 4;
   float temperature = 1.0f;
   std::uint64_t sample_seed = 1;
+
+  /// The decode half of these options — what Seq2SeqModel::infer and the
+  /// stepped engine backend decode with.
+  [[nodiscard]] DecodeOptions decode_options() const noexcept;
 };
 
 struct InferenceResult {

@@ -1,222 +1,160 @@
 #include "serving/backend.hpp"
 
-#include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "batching/packed_batch.hpp"
+#include "batching/slot_ledger.hpp"
 #include "util/check.hpp"
 
 namespace tcb {
 namespace {
 
-/// Attention context width per track, in plan traversal order — the same
-/// rule AnalyticalCostModel::decode_track_states applies, kept callable per
-/// track so spliced admissions extend it.
-double track_context(const BatchPlan& plan, const RowLayout& row,
-                     Index max_width) {
-  const bool slotted = plan.scheme == Scheme::kConcatSlotted;
-  const bool concat = slotted || plan.scheme == Scheme::kConcatPure;
-  if (slotted) return static_cast<double>(plan.effective_slot_len(row));
-  if (concat) return static_cast<double>(row.width);
-  return static_cast<double>(max_width);
+/// The outputs of a decoded batch (a DecodeResult or an InferenceResult):
+/// one response per request, plus the K/V accounting.
+template <class Decoded>
+BatchExecution decoded_execution(Decoded& dec) {
+  BatchExecution out;
+  out.peak_kv_bytes = dec.peak_kv_bytes;
+  out.early_freed_bytes = dec.early_freed_bytes;
+  out.reclaimable_kv_bytes = dec.reclaimable_kv_bytes;
+  for (auto& [id, tokens] : dec.outputs)
+    out.responses.push_back(Response{.id = id, .tokens = std::move(tokens)});
+  return out;
 }
+
+/// What both stepped executions share: the prologue price, each ledger
+/// handle's priced state (track_state's rule), the price of one iteration
+/// over the unfinished tracks in ledger order, and spliced prefill staged
+/// for the next iteration's fused kernel.
+class PricedExecution : public SteppedExecution {
+ public:
+  [[nodiscard]] double prologue_seconds() const override { return prologue_; }
+
+ protected:
+  PricedExecution(const AnalyticalCostModel& clock, const BatchPlan& plan)
+      : clock_(clock),
+        tracks_(clock.decode_track_states(plan)),
+        scheme_(plan.scheme),
+        max_width_(plan.max_width()),
+        prologue_(clock.encode_seconds(plan) +
+                  clock.hardware().batch_overhead) {}
+
+  /// Prices one iteration over `ledger`'s unfinished tracks, with state(h)
+  /// each one's state now, fusing in (and consuming) the staged prefill.
+  template <class State>
+  DecodeStepCost price(const SlotLedger& ledger, State&& state) {
+    priced_.clear();
+    ledger.for_each_unfinished(
+        [&](std::size_t h) { priced_.push_back(state(h)); });
+    const DecodeStepCost cost = clock_.decode_step_cost(priced_, staged_);
+    staged_ = SplicePrefill{};
+    return cost;
+  }
+
+  /// Prices the cohort `reqs`, bound to `handles` over a span of `width`,
+  /// and stages its prefill bill for the next iteration (per-cohort
+  /// quadratic attention, so the flops accumulate per call rather than
+  /// merging token counts).
+  void price_cohort(std::span<const std::size_t> handles,
+                    const std::vector<Request>& reqs, Index width) {
+    Index total_len = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      total_len += reqs[i].length;
+      if (handles[i] >= tracks_.size()) tracks_.resize(handles[i] + 1);
+      tracks_[handles[i]] =
+          track_state(scheme_, reqs[i].length, width, max_width_);
+    }
+    TCB_CHECK(total_len <= width, "splice: requests overflow the slot span");
+    staged_ += clock_.splice_prefill(total_len);
+  }
+
+  const AnalyticalCostModel& clock_;
+  std::vector<StepTrackState> tracks_;  ///< per ledger handle
+
+ private:
+  Scheme scheme_;
+  Index max_width_ = 0;
+  double prologue_ = 0;
+  std::vector<StepTrackState> priced_;  ///< unfinished tracks, ledger order
+  SplicePrefill staged_;
+};
 
 /// Pure-simulation stepped execution: the analytical twin of the engine's
 /// DecodeSession. Tracks advance under the model's translation-style decode
-/// lengths; groups mirror the decoder's (row under concat, (row, slot) under
-/// slotted), so slot releases fire at the same modeled moments the engine's
-/// would.
-class AnalyticalSteppedExecution final : public SteppedExecution {
+/// lengths; its SlotLedger groups them as the decoder's does (row under
+/// concat, (row, slot) under slotted), so slot releases fire at the same
+/// modeled moments the engine's would.
+class AnalyticalSteppedExecution final : public PricedExecution {
  public:
   AnalyticalSteppedExecution(const AnalyticalCostModel& clock,
                              const BatchWork& work)
-      : clock_(clock),
-        scheme_(work.plan.scheme),
-        max_width_(work.plan.max_width()),
-        prologue_(clock.encode_seconds(work.plan) +
-                  clock.hardware().batch_overhead) {
-    const BatchPlan& plan = work.plan;
-    const bool slotted =
-        plan.scheme == Scheme::kConcatSlotted && plan.slot_len > 0;
-    tracks_ = clock_.decode_track_states(plan);
-    std::unordered_map<Index, std::size_t> key_to_group;
-    std::size_t track_index = 0;
-    for (std::size_t r = 0; r < plan.rows.size(); ++r) {
-      const RowLayout& row = plan.rows[r];
-      for (const Segment& seg : row.segments) {
-        ids_.push_back(seg.request_id);
-        const Row track_row{static_cast<Index>(r)};
-        const Slot track_slot = slotted ? seg.slot_index() : Slot{0};
-        const Index key = track_row.value() * (max_width_ + 1) +
-                          (slotted ? track_slot.value() : 0);
-        auto [it, inserted] = key_to_group.try_emplace(key, groups_.size());
-        if (inserted) {
-          Group g;
-          g.row = track_row;
-          g.slot = track_slot;
-          if (slotted) {
-            const Index z = plan.slot_len;
-            g.begin = Col{track_slot.value() * z};
-            g.width = std::min(z, row.width - g.begin.value());
-          } else {
-            g.begin = Col{0};
-            g.width = row.width;
-          }
-          groups_.push_back(std::move(g));
-        }
-        groups_[it->second].members.push_back(track_index);
-        track_index += 1;
-      }
-    }
-  }
+      : PricedExecution(clock, work.plan),
+        ledger_(work.plan, work.plan.scheme == Scheme::kConcatSlotted) {}
 
-  [[nodiscard]] double prologue_seconds() const override { return prologue_; }
-
-  [[nodiscard]] bool done() const override {
-    return std::all_of(tracks_.begin(), tracks_.end(),
-                       [](const StepTrackState& t) { return t.finished(); });
-  }
+  [[nodiscard]] bool done() const override { return ledger_.done(); }
 
   [[nodiscard]] StepResult step() override {
-    StepResult res;
-    const DecodeStepCost cost = clock_.decode_step_cost(tracks_, staged_);
-    staged_ = SplicePrefill{};
+    const DecodeStepCost cost =
+        price(ledger_, [&](std::size_t h) { return tracks_[h]; });
     TCB_CHECK(cost.active > 0.0,
               "AnalyticalSteppedExecution::step called when done");
+    StepResult res;
     res.seconds = cost.seconds;
-    for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      if (tracks_[i].finished()) continue;
-      tracks_[i].steps_done += 1;
-      if (tracks_[i].finished()) res.finished.push_back(ids_[i]);
-    }
-    for (auto& group : groups_) {
-      if (group.completed) continue;
-      const bool group_done =
-          std::all_of(group.members.begin(), group.members.end(),
-                      [&](std::size_t m) { return tracks_[m].finished(); });
-      if (!group_done) continue;
-      group.completed = true;
-      SlotRelease rel;
-      rel.row = group.row;
-      rel.slot = group.slot;
-      rel.begin = group.begin;
-      rel.width = group.width;
-      for (const auto m : group.members) rel.finished.push_back(ids_[m]);
-      res.released.push_back(std::move(rel));
-    }
+    ledger_.step(
+        [&](std::size_t h) {
+          tracks_[h].steps_done += 1;
+          if (!tracks_[h].finished()) return false;
+          res.finished.push_back(ledger_.request_id(h));
+          return true;
+        },
+        [](std::size_t, std::span<const std::size_t>) {}, res.released);
     return res;
   }
 
   [[nodiscard]] double splice(Row row, Slot slot, Col begin, Index width,
                               std::vector<Request> reqs) override {
-    const bool concat = scheme_ == Scheme::kConcatSlotted ||
-                        scheme_ == Scheme::kConcatPure;
-    Index total_len = 0;
-    Group g;
-    g.row = row;
-    g.slot = slot;
-    g.begin = begin;
-    g.width = width;
-    for (const auto& req : reqs) {
-      total_len += req.length;
-      StepTrackState st;
-      st.decode_len = concat ? req.length : max_width_;
-      st.context = concat ? static_cast<double>(width)
-                          : static_cast<double>(max_width_);
-      g.members.push_back(tracks_.size());
-      tracks_.push_back(st);
-      ids_.push_back(req.id);
-    }
-    TCB_CHECK(total_len <= width, "splice: requests overflow the slot span");
-    groups_.push_back(std::move(g));
-    // Stage the cohort's prefill bill; the next step() fuses it into the
-    // iteration kernel (per-cohort quadratic attention, so accumulate the
-    // flops per call rather than merging token counts).
-    const SplicePrefill bill = clock_.splice_prefill(total_len);
-    staged_.tokens += bill.tokens;
-    staged_.linear_flops += bill.linear_flops;
-    staged_.attention_flops += bill.attention_flops;
+    std::vector<RequestId> ids;
+    for (const auto& req : reqs) ids.push_back(req.id);
+    price_cohort(ledger_.admit(row, slot, begin, width, ids), reqs, width);
     return 0.0;
   }
 
   [[nodiscard]] BatchExecution finish() override { return {}; }
 
  private:
-  struct Group {
-    std::vector<std::size_t> members;
-    Row row{0};
-    Slot slot{0};
-    Col begin{0};
-    Index width = 0;
-    bool completed = false;
-  };
-
-  const AnalyticalCostModel& clock_;
-  Scheme scheme_;
-  Index max_width_ = 0;
-  double prologue_ = 0;
-  std::vector<StepTrackState> tracks_;
-  std::vector<RequestId> ids_;
-  std::vector<Group> groups_;
-  SplicePrefill staged_;  ///< spliced prefill awaiting the next fused step
+  SlotLedger ledger_;
 };
 
 /// Real stepped execution: a DecodeSession driven one iteration at a time,
 /// each iteration priced from the session's *actual* active tracks with the
 /// analytical clock — the engine and the virtual clock agree on exactly
 /// which tracks decoded.
-class EngineSteppedExecution final : public SteppedExecution {
+class EngineSteppedExecution final : public PricedExecution {
  public:
   EngineSteppedExecution(std::shared_ptr<const Seq2SeqModel> model,
                          const AnalyticalCostModel& clock,
                          const InferenceOptions& opts, const BatchWork& work)
-      : model_(std::move(model)), clock_(clock), scheme_(work.plan.scheme) {
-    const BatchPlan& plan = work.plan;
-    max_width_ = plan.max_width();
-    prologue_ = clock_.encode_seconds(plan) + clock_.hardware().batch_overhead;
-    for (const RowLayout& row : plan.rows)
-      for (std::size_t s = 0; s < row.segments.size(); ++s)
-        contexts_.push_back(track_context(plan, row, max_width_));
-
-    DecodeOptions dopts;
-    dopts.mode = opts.mode;
-    dopts.max_steps = opts.max_decode_steps;
-    dopts.early_memory_cleaning = opts.early_memory_cleaning;
-    dopts.cap_at_source_length = opts.cap_decode_at_source_length;
-    dopts.strategy = opts.decode_strategy;
-    dopts.top_k = opts.top_k;
-    dopts.temperature = opts.temperature;
-    dopts.sample_seed = opts.sample_seed;
-    dopts.separate_positional_encoding = opts.separate_positional_encoding;
-    dopts.mask_policy = opts.mask_policy;
-    session_.emplace(*model_,
-                     model_->encode(pack_batch(plan, work.requests), opts),
-                     dopts);
+      : PricedExecution(clock, work.plan), model_(std::move(model)) {
+    session_.emplace(
+        *model_, model_->encode(pack_batch(work.plan, work.requests), opts),
+        opts.decode_options());
   }
-
-  [[nodiscard]] double prologue_seconds() const override { return prologue_; }
 
   [[nodiscard]] bool done() const override { return session_->done(); }
 
   [[nodiscard]] StepResult step() override {
     // Price from the session's live activity *before* the iteration runs:
     // a track at position p pays self-attention over min(p + 1, context).
-    std::vector<StepTrackState> priced;
     const auto& tracks = session_->tracks();
-    priced.reserve(tracks.size());
-    for (std::size_t i = 0; i < tracks.size(); ++i) {
-      StepTrackState st;
-      st.steps_done = static_cast<Index>(tracks[i].emitted.size());
-      st.decode_len = tracks[i].finished ? st.steps_done : st.steps_done + 1;
-      st.context = contexts_[i];
-      priced.push_back(st);
-    }
     StepResult res;
-    res.seconds = clock_.decode_step_cost(priced, staged_).seconds;
-    staged_ = SplicePrefill{};
+    res.seconds = price(session_->ledger(), [&](std::size_t h) {
+                    const auto steps =
+                        static_cast<Index>(tracks[h].emitted.size());
+                    return StepTrackState{steps + 1, steps, tracks_[h].context};
+                  }).seconds;
     DecodeStepOutcome outcome = session_->step();
     res.finished = std::move(outcome.finished);
     res.released = std::move(outcome.released);
@@ -225,46 +163,20 @@ class EngineSteppedExecution final : public SteppedExecution {
 
   [[nodiscard]] double splice(Row row, Slot slot, Col begin, Index width,
                               std::vector<Request> reqs) override {
-    Index total_len = 0;
-    for (const auto& req : reqs) total_len += req.length;
-    const bool concat = scheme_ == Scheme::kConcatSlotted ||
-                        scheme_ == Scheme::kConcatPure;
     session_->splice(row, slot, begin, width, reqs);
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      contexts_.push_back(concat ? static_cast<double>(width)
-                                 : static_cast<double>(max_width_));
-    // Stage the cohort's prefill bill for the next fused iteration (the
-    // engine already ran the real mini-encode above; only pricing is staged).
-    const SplicePrefill bill = clock_.splice_prefill(total_len);
-    staged_.tokens += bill.tokens;
-    staged_.linear_flops += bill.linear_flops;
-    staged_.attention_flops += bill.attention_flops;
+    // The engine already ran the real mini-encode; only pricing is staged.
+    const SlotLedger& ledger = session_->ledger();
+    price_cohort(ledger.members(ledger.slot_index(row, slot)), reqs, width);
     return 0.0;
   }
 
   [[nodiscard]] BatchExecution finish() override {
     DecodeResult dec = session_->take_result();
-    BatchExecution out;
-    out.peak_kv_bytes = dec.peak_kv_bytes;
-    out.early_freed_bytes = dec.early_freed_bytes;
-    out.reclaimable_kv_bytes = dec.reclaimable_kv_bytes;
-    for (auto& [id, tokens] : dec.outputs) {
-      Response resp;
-      resp.id = id;
-      resp.tokens = std::move(tokens);
-      out.responses.push_back(std::move(resp));
-    }
-    return out;
+    return decoded_execution(dec);
   }
 
  private:
   std::shared_ptr<const Seq2SeqModel> model_;
-  const AnalyticalCostModel& clock_;
-  Scheme scheme_;
-  Index max_width_ = 0;
-  double prologue_ = 0;
-  std::vector<double> contexts_;  ///< per track, extended by splice
-  SplicePrefill staged_;  ///< spliced prefill awaiting the next fused step
   std::optional<DecodeSession> session_;
 };
 
@@ -298,27 +210,14 @@ double EngineBackend::batch_seconds(const BatchPlan& plan) const {
 
 BatchExecution EngineBackend::execute(const BatchWork& work) const {
   const PackedBatch packed = pack_batch(work.plan, work.requests);
+  if (head_ == nullptr) {
+    InferenceResult inf = model_->infer(packed, opts_);
+    return decoded_execution(inf);
+  }
   BatchExecution out;
-  if (head_ != nullptr) {
-    const EncoderMemory memory = model_->encode(packed, opts_);
-    for (const auto& [id, label] : head_->classify(memory)) {
-      Response resp;
-      resp.id = id;
-      resp.label = label;
-      out.responses.push_back(std::move(resp));
-    }
-    return out;
-  }
-  InferenceResult inf = model_->infer(packed, opts_);
-  out.peak_kv_bytes = inf.peak_kv_bytes;
-  out.early_freed_bytes = inf.early_freed_bytes;
-  out.reclaimable_kv_bytes = inf.reclaimable_kv_bytes;
-  for (auto& [id, tokens] : inf.outputs) {
-    Response resp;
-    resp.id = id;
-    resp.tokens = std::move(tokens);
-    out.responses.push_back(std::move(resp));
-  }
+  const EncoderMemory memory = model_->encode(packed, opts_);
+  for (const auto& [id, label] : head_->classify(memory))
+    out.responses.push_back(Response{.id = id, .tokens = {}, .label = label});
   return out;
 }
 

@@ -14,28 +14,30 @@ AnalyticalCostModel::AnalyticalCostModel(ModelConfig model, HardwareProfile hw)
   model_.validate();
 }
 
+StepTrackState track_state(Scheme scheme, Index length, Index span,
+                           Index max_width) noexcept {
+  StepTrackState st;
+  if (scheme == Scheme::kConcatSlotted || scheme == Scheme::kConcatPure) {
+    st.decode_len = length;
+    st.context = static_cast<double>(span);
+  } else {
+    st.decode_len = max_width;  // rectangular padded tensor
+    st.context = static_cast<double>(max_width);
+  }
+  return st;
+}
+
 std::vector<StepTrackState> AnalyticalCostModel::decode_track_states(
     const BatchPlan& plan) const {
   std::vector<StepTrackState> tracks;
   if (plan.empty()) return tracks;
   const Index width = plan.max_width();
-  const bool slotted = plan.scheme == Scheme::kConcatSlotted;
-  const bool concat = slotted || plan.scheme == Scheme::kConcatPure;
-  // Translation-style assumption: each request decodes as many tokens as its
-  // input length. Naive/turbo keep the whole rectangular tensor stepping
-  // until the longest row finishes; concat tracks retire individually.
   for (const auto& row : plan.rows) {
-    for (const auto& seg : row.segments) {
-      StepTrackState st;
-      st.decode_len = concat ? seg.length : width;
-      if (slotted)
-        st.context = static_cast<double>(plan.effective_slot_len(row));
-      else if (concat)
-        st.context = static_cast<double>(row.width);
-      else
-        st.context = static_cast<double>(width);  // rectangular padded tensor
-      tracks.push_back(st);
-    }
+    const Index span = plan.scheme == Scheme::kConcatSlotted
+                           ? plan.effective_slot_len(row)
+                           : row.width;
+    for (const auto& seg : row.segments)
+      tracks.push_back(track_state(plan.scheme, seg.length, span, width));
   }
   return tracks;
 }
@@ -83,7 +85,10 @@ DecodeStepCost AnalyticalCostModel::decode_step_cost(
 }
 
 double AnalyticalCostModel::encode_seconds(const BatchPlan& plan) const {
-  if (plan.empty()) return 0.0;
+  return plan.empty() ? 0.0 : encoder_cost(plan).encoder_seconds;
+}
+
+CostBreakdown AnalyticalCostModel::encoder_cost(const BatchPlan& plan) const {
   const double d = static_cast<double>(model_.d_model);
   const double dff = static_cast<double>(model_.d_ff);
   const double dh = static_cast<double>(model_.head_dim());
@@ -93,16 +98,18 @@ double AnalyticalCostModel::encode_seconds(const BatchPlan& plan) const {
   const double rows = static_cast<double>(plan.rows.size());
   const double lin_tokens = rows * static_cast<double>(width);
   const bool slotted = plan.scheme == Scheme::kConcatSlotted;
+  CostBreakdown out;
   // Projections (Q,K,V,O = 4 GEMMs) + FFN per materialized token.
-  const double lin_flops = lin_tokens * n_enc * (8.0 * d * d + 4.0 * d * dff);
+  out.encoder_linear_flops =
+      lin_tokens * n_enc * (8.0 * d * d + 4.0 * d * dff);
   // Attention over exactly the score entries the mode computes.
   const double entries = static_cast<double>(score_entries(
       plan, Col{width},
       slotted ? AttentionMode::kSlotted : AttentionMode::kPureConcat));
-  const double attn_flops = n_enc * entries * heads * (4.0 * dh + 4.0);
-  double seconds = lin_flops + attn_flops;
-  seconds /= hw_.peak_flops * hw_.utilization(lin_tokens);
-  return seconds;
+  out.encoder_attention_flops = n_enc * entries * heads * (4.0 * dh + 4.0);
+  out.encoder_seconds = out.encoder_linear_flops + out.encoder_attention_flops;
+  out.encoder_seconds /= hw_.peak_flops * hw_.utilization(lin_tokens);
+  return out;
 }
 
 SplicePrefill AnalyticalCostModel::splice_prefill(Index total_len) const {
@@ -130,28 +137,12 @@ SplicePrefill AnalyticalCostModel::splice_prefill(Index total_len) const {
 }
 
 CostBreakdown AnalyticalCostModel::breakdown(const BatchPlan& plan) const {
-  CostBreakdown out;
-  if (plan.empty()) return out;
-
+  if (plan.empty()) return {};
+  CostBreakdown out = encoder_cost(plan);
   const double d = static_cast<double>(model_.d_model);
-  const double dff = static_cast<double>(model_.d_ff);
-  const double dh = static_cast<double>(model_.head_dim());
-  const double heads = static_cast<double>(model_.n_heads);
-  const double n_enc = static_cast<double>(model_.n_encoder_layers);
   const double n_dec = static_cast<double>(model_.n_decoder_layers);
-
-  const Index width = plan.max_width();
-  const double rows = static_cast<double>(plan.rows.size());
-  const double lin_tokens = rows * static_cast<double>(width);
-  const bool slotted = plan.scheme == Scheme::kConcatSlotted;
-
-  // --- Encoder -------------------------------------------------------------
-  // Flops recomputed here (encode_seconds only returns time); same formulas.
-  out.encoder_linear_flops = lin_tokens * n_enc * (8.0 * d * d + 4.0 * d * dff);
-  const double entries = static_cast<double>(score_entries(
-      plan, Col{width}, slotted ? AttentionMode::kSlotted : AttentionMode::kPureConcat));
-  out.encoder_attention_flops = n_enc * entries * heads * (4.0 * dh + 4.0);
-  out.encoder_seconds = encode_seconds(plan);
+  const double lin_tokens = static_cast<double>(plan.rows.size()) *
+                            static_cast<double>(plan.max_width());
 
   // --- Decoder -------------------------------------------------------------
   // Stepped: price each iteration with decode_step_cost until every track

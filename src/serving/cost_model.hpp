@@ -92,6 +92,15 @@ struct StepTrackState {
   }
 };
 
+/// The per-track rule, for formation and spliced tracks alike. A concat
+/// track decodes as many tokens as its request has (`length`, the
+/// translation-style assumption) and attends over `span`: its slot under
+/// slotted, its row under pure concat, or the span it was spliced into. A
+/// naive/turbo track steps through and attends over the batch's whole padded
+/// width, `max_width`, until the longest row finishes.
+[[nodiscard]] StepTrackState track_state(Scheme scheme, Index length,
+                                         Index span, Index max_width) noexcept;
+
 /// Price of one decoder iteration over a set of (possibly partially
 /// finished) tracks — the unit continuous batching schedules around.
 struct DecodeStepCost {
@@ -111,7 +120,12 @@ struct SplicePrefill {
   double linear_flops = 0;
   double attention_flops = 0;
 
-  [[nodiscard]] bool empty() const noexcept { return tokens == 0.0; }
+  SplicePrefill& operator+=(const SplicePrefill& other) noexcept {
+    tokens += other.tokens;
+    linear_flops += other.linear_flops;
+    attention_flops += other.attention_flops;
+    return *this;
+  }
 };
 
 class AnalyticalCostModel final : public CostModel {
@@ -128,7 +142,8 @@ class AnalyticalCostModel final : public CostModel {
   // exactly (the pipeline equivalence tests compare with EXPECT_DOUBLE_EQ).
 
   /// Track states for a freshly formed plan, in plan traversal order (rows,
-  /// then segments) — index-aligned with DecodeSession::tracks().
+  /// then segments) — index-aligned with the handles a SlotLedger built from
+  /// the plan gives its tracks.
   [[nodiscard]] std::vector<StepTrackState> decode_track_states(
       const BatchPlan& plan) const;
 
@@ -163,6 +178,9 @@ class AnalyticalCostModel final : public CostModel {
   }
 
  private:
+  /// breakdown()'s encoder half: flops and seconds (overhead excluded).
+  [[nodiscard]] CostBreakdown encoder_cost(const BatchPlan& plan) const;
+
   ModelConfig model_;
   HardwareProfile hw_;
 };

@@ -1,8 +1,9 @@
 // Early memory cleaning must return K/V storage to the allocator (paper
 // §4.2.2), not just stop counting it. One long-lived slotted DecodeSession
 // splices a fresh request into every slot it releases, so tracks keep
-// retiring while about a batch's worth stay live; the heap in use must stay
-// close to flat however many requests have passed through.
+// retiring while about a batch's worth stay live; the heap in use, and the
+// session's track table, must stay flat however many requests have passed
+// through.
 //
 // Its own binary because it replaces the global operator new with one that
 // counts the bytes currently allocated through it.
@@ -97,6 +98,7 @@ TEST(KvReleaseTest, SteadySplicingKeepsHeapFlat) {
   constexpr std::size_t kWarmup = 1000;
   constexpr std::size_t kSplices = 11000;
   std::size_t splices = 0;
+  std::size_t peak_tracks = 0;
   std::int64_t warm_bytes = 0;
   double reserved_after_warmup = 0.0;
   while (splices < kSplices) {
@@ -108,6 +110,7 @@ TEST(KvReleaseTest, SteadySplicingKeepsHeapFlat) {
           make_request(next_id++, rng.uniform_int(3, rel.width), rng, cfg);
       if (splices >= kWarmup) reserved_after_warmup += reserved_kv(req);
       session.splice(rel.row, rel.slot, rel.begin, rel.width, {req});
+      peak_tracks = std::max(peak_tracks, session.tracks().size());
       if (++splices == kWarmup)
         warm_bytes = g_live_bytes.load(std::memory_order_relaxed);
     }
@@ -117,11 +120,14 @@ TEST(KvReleaseTest, SteadySplicingKeepsHeapFlat) {
   const double measured = static_cast<double>(kSplices - kWarmup);
 
   // A retired track's K/V must not stay allocated: per splice, the heap may
-  // grow by per-track bookkeeping (its emitted tokens, group and track
-  // records) but by well under one track's reserved K/V.
+  // grow by per-request bookkeeping (the emitted tokens kept for the
+  // result) but by well under one track's reserved K/V.
   EXPECT_LT(growth / measured, 0.25 * reserved_after_warmup / measured)
       << "heap grew " << growth / 1024.0 << " KiB over " << measured
       << " splices";
+  // Splices reuse the handles their released slots freed, so the track
+  // table never outgrows the batch's formation-time tracks.
+  EXPECT_LE(peak_tracks, reqs.size());
 
   while (!session.done()) (void)session.step();
   const DecodeResult result = session.take_result();

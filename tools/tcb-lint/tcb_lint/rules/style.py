@@ -409,8 +409,9 @@ class IncludeLayering(Rule):
 
     # Batching-internal refinement: Request is the leaf datum; batch_plan
     # (the Batcher interface and plan geometry) sits on it; packed_batch,
-    # the SlotAllocator and the stats layer consume plans; the concrete
-    # batchers see only the interface (a batcher that peeks at another
+    # the SlotLedger (the slot grid and its occupancy) and the stats layer
+    # consume plans; the SlotAllocator builds on the ledger's grid; the
+    # concrete batchers see only the interface (a batcher that peeks at another
     # batcher's internals cannot be swapped by the factory), and the factory
     # alone sees them all. Stems not listed (future batching files) are only
     # module-checked.
@@ -418,7 +419,8 @@ class IncludeLayering(Rule):
         "request": set(),
         "batch_plan": {"request"},
         "packed_batch": {"batch_plan"},
-        "slot_allocator": {"batch_plan"},
+        "slot_ledger": {"batch_plan"},
+        "slot_allocator": {"batch_plan", "slot_ledger"},
         "stats": {"batch_plan"},
         "concat_batcher": {"batch_plan"},
         "naive_batcher": {"batch_plan"},
